@@ -20,6 +20,7 @@ class Abelian2(Group):
     """(Z/n)^2, written additively; elements are coordinate pairs."""
 
     kind = "ab2"
+    generation_certificate = "determinant"
 
     def __init__(self, n: int):
         if n < 2:

@@ -46,11 +46,14 @@ class Group:
     """Base class for executable finite groups.
 
     Subclasses must set ``kind`` and implement ``identity``, ``mul``,
-    ``inv``, ``order``, ``generators`` and ``contains``.  Contexts are
-    immutable after construction; all operations are pure.
+    ``inv``, ``order``, ``generators`` and ``contains``.  A backend with
+    its own exact test of "<a, c> = G" implements ``generates_pair`` and
+    names it in ``generation_certificate``.  Contexts are immutable after
+    construction; all operations are pure.
     """
 
     kind: str = "abstract"
+    generation_certificate: str = "closure"
 
     @property
     def identity(self):
@@ -161,9 +164,13 @@ def generated_subgroup(G: Group, gens: Iterable, cap: int = DEFAULT_CLOSURE_CAP)
 def generates(G: Group, a, c, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
     """True iff <a, c> = G.
 
-    Permutation contexts use a stabilizer chain; other backends compare
-    a closure against the known order.  When the order is not reachable
-    within ``cap`` an UndecidedError is raised (never a wrong boolean).
+    A backend's ``generates_pair`` decides exactly, named by its
+    ``generation_certificate``: a known-order stabilizer chain for S_n
+    and A_n (``perms.generates_known_order``), orbit-stabilizer on
+    vectors for SL(2,p) and PSL(2,p), a determinant for (Z/n)^2.  The
+    other backends compare a closure against the known order; only they
+    use ``cap``, and past it an UndecidedError is raised (never a wrong
+    boolean).
     """
     G.check_element(a)
     G.check_element(c)

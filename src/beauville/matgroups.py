@@ -310,11 +310,57 @@ def conjugation_cosets(p: int, a: Mat2, aT: Mat2, c: Mat2, cT: Mat2) -> dict:
     }
 
 
+# -- generation by orbit-stabilizer ------------------------------------------
+
+
+def generates_sl2(p: int, a: Mat2, c: Mat2, projective: bool = False) -> bool:
+    """True iff a and c generate SL(2,p), or PSL(2,p) when ``projective``.
+
+    SL(2,p) is transitive on the p^2-1 nonzero vectors of F_p^2, and the
+    stabilizer of e1 is the unipotent group [[1, t], [0, 1]], of prime
+    order p.  So <a, c> = SL(2,p) iff the orbit of e1 under a and c holds
+    every nonzero vector and the stabilizer of e1 in <a, c> is not
+    trivial, that is iff some Schreier generator u_{gx}^-1 g u_x is not
+    the identity.  PSL(2,p) acts on the (p^2-1)/2 vectors up to sign,
+    with a stabilizer of order p again; there a Schreier generator is
+    trivial when it is +-I.
+
+    The transversal keeps u_x with u_x e1 = x (up to sign), so the
+    Schreier generator of the edge (x, g) is trivial iff g u_x equals
+    u_{gx} (up to sign): one comparison per edge.
+    """
+    half = (p - 1) // 2
+    ident = mat_id(p)
+    trans = {(1, 0): ident}
+    frontier = [ident]
+    stabilizer_nontrivial = False
+    while frontier:
+        new = []
+        for u in frontier:
+            for g in (a, c):
+                w = mmul(g, u, p)
+                x, y = w[0], w[2]
+                if projective:
+                    w = psl_canon(w, p)
+                    if x > half or (x == 0 and y > half):
+                        x, y = (-x) % p, (-y) % p
+                known = trans.get((x, y))
+                if known is None:
+                    trans[(x, y)] = w
+                    new.append(w)
+                elif known != w:
+                    stabilizer_nontrivial = True
+        frontier = new
+    orbit_size = (p * p - 1) // 2 if projective else p * p - 1
+    return len(trans) == orbit_size and stabilizer_nontrivial
+
+
 # -- group contexts --------------------------------------------------------
 
 
 class SL2Group(Group):
     kind = "sl2"
+    generation_certificate = "orbit-stabilizer"
 
     def __init__(self, p: int):
         _check_odd_prime(p)
@@ -351,12 +397,16 @@ class SL2Group(Group):
     def element_order(self, g) -> int:
         return mat_order(g, self.p)
 
+    def generates_pair(self, a, c) -> bool:
+        return generates_sl2(self.p, a, c)
+
     def descriptor(self) -> dict:
         return {"kind": "sl2", "p": self.p}
 
 
 class PSL2Group(Group):
     kind = "psl2"
+    generation_certificate = "orbit-stabilizer"
 
     def __init__(self, p: int):
         _check_odd_prime(p)
@@ -394,6 +444,9 @@ class PSL2Group(Group):
     def project(self, x: Mat2) -> Mat2:
         """Image of a determinant-1 matrix in the projective group."""
         return psl_canon(x, self.p)
+
+    def generates_pair(self, a, c) -> bool:
+        return generates_sl2(self.p, a, c, projective=True)
 
     def descriptor(self) -> dict:
         return {"kind": "psl2", "p": self.p}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import re
 
 from .core import CapacityExceeded, Group, PreconditionError
@@ -23,7 +24,7 @@ def identity_perm(n: int) -> tuple:
 
 def pmul(p: tuple, q: tuple) -> tuple:
     """Composition applying q first: (p*q)(x) = p(q(x))."""
-    return tuple(p[i] for i in q)
+    return tuple([p[i] for i in q])
 
 
 def pinv(p: tuple) -> tuple:
@@ -158,10 +159,10 @@ class _ChainNode:
         node = self
         ident = identity_perm(self.n)
         while node is not None and node.base is not None:
-            u = node.transversal.get(p[node.base])
-            if u is None:
+            u_inv = node._trans_inv.get(p[node.base])
+            if u_inv is None:
                 return p
-            p = pmul(pinv(u), p)
+            p = pmul(u_inv, p)
             if p == ident:
                 return p
             node = node.stab
@@ -253,6 +254,139 @@ def bsgs_order(gens: list) -> int:
     if not gens:
         return 1
     return StabilizerChain(gens).order
+
+
+# -- known-order generation certificate ------------------------------------
+
+# Product replacement starts from a fixed seed, so one input always takes
+# one path.  The seed only decides how soon a True is proved: no answer
+# rests on it.
+_CERT_SEED = 2004
+_CERT_SLOTS = 10
+_CERT_BURN_IN = 40
+# Trivial sifts in a row before the deterministic chain decides.  A sift
+# of a uniform element of G is trivial with probability |chain| / |G|,
+# which is at most 1/2 while the certificate is incomplete.
+_CERT_PATIENCE = 12
+
+
+class _PartialChain:
+    """Stabilizer chain grown from sifted elements of a group H.
+
+    Every strong generator lies in H and fixes the base points of the
+    levels above the one it is attached to, so the orbit of each level
+    lies in one orbit of a point stabilizer of H and ``size``, the
+    product of the orbit sizes, never exceeds |H|.
+    """
+
+    def __init__(self, n: int):
+        self.ident = identity_perm(n)
+        self.base: list = []
+        self.gens: list = []  # strong generators first attached per level
+        self.trans: list = []  # per level: orbit point -> u with u(base) = point
+        self.trans_inv: list = []
+        self.size = 1
+
+    def sift(self, x: tuple):
+        """(level, residue): where x leaves the chain and what is left of it.
+
+        A residue that passes every level is returned at level
+        ``len(self.base)``; it is the identity iff x is in the chain.
+        """
+        for i, b in enumerate(self.base):
+            u_inv = self.trans_inv[i].get(x[b])
+            if u_inv is None:
+                return i, x
+            x = pmul(u_inv, x)
+        return len(self.base), x
+
+    def add(self, level: int, h: tuple):
+        if level == len(self.base):
+            b = next(i for i, y in enumerate(h) if y != i)
+            self.base.append(b)
+            self.gens.append([])
+            self.trans.append({b: self.ident})
+            self.trans_inv.append({b: self.ident})
+        self.gens[level].append(h)
+        for i in range(level + 1):
+            self._extend_orbit(i, h)
+        self.size = math.prod(len(t) for t in self.trans)
+
+    def _extend_orbit(self, i: int, h: tuple):
+        # The orbit is closed under the older generators: images under h
+        # come first, then the new points under every generator of the level.
+        trans, trans_inv = self.trans[i], self.trans_inv[i]
+        level_gens = [g for gens in self.gens[i:] for g in gens]
+        frontier, gens = list(trans), [h]
+        while frontier:
+            new = []
+            for x in frontier:
+                ux = trans[x]
+                for g in gens:
+                    y = g[x]
+                    if y not in trans:
+                        u = pmul(g, ux)
+                        trans[y] = u
+                        trans_inv[y] = pinv(u)
+                        new.append(y)
+            frontier, gens = new, level_gens
+
+
+def _product_replacement(gens: list, rng: random.Random):
+    """Endless stream of elements of <gens> (product replacement with an
+    accumulator, after a burn-in)."""
+    state = [gens[i % len(gens)] for i in range(_CERT_SLOTS)]
+    acc = identity_perm(len(gens[0]))
+    step = 0
+    while True:
+        s = rng.randrange(_CERT_SLOTS)
+        t = rng.randrange(_CERT_SLOTS - 1)
+        t += t >= s
+        if rng.random() < 0.5:
+            state[s] = pmul(state[s], state[t])
+        else:
+            state[s] = pmul(state[t], state[s])
+        acc = pmul(acc, state[s])
+        step += 1
+        if step > _CERT_BURN_IN:
+            yield acc
+
+
+def generates_known_order(gens: list, order: int) -> bool:
+    """True iff |<gens>| = ``order``, where ``gens`` lie in a transitive
+    group of that order on their points (S_n and A_n).
+
+    Each answer is exact:
+
+    * a point outside the orbit of 0 makes <gens> intransitive, hence a
+      proper subgroup (False);
+    * a ``_PartialChain`` fed with ``gens`` and then with sifted
+      product-replacement elements proves |<gens>| >= ``order`` as soon
+      as the product of its orbit sizes reaches it (True);
+    * after ``_CERT_PATIENCE`` trivial sifts in a row, the deterministic
+      chain ``bsgs_order`` decides.
+    """
+    gens = [tuple(g) for g in gens]
+    n = len(gens[0])
+    orbit, frontier = {0}, {0}
+    while frontier:
+        frontier = {g[x] for x in frontier for g in gens} - orbit
+        orbit |= frontier
+    if len(orbit) < n:
+        return False
+    chain = _PartialChain(n)
+    idle = 0
+    elements = itertools.chain(gens, _product_replacement(gens, random.Random(_CERT_SEED)))
+    while chain.size < order and idle < _CERT_PATIENCE:
+        level, residue = chain.sift(next(elements))
+        if residue == chain.ident:
+            idle += 1
+        else:
+            idle = 0
+            chain.add(level, residue)
+    if chain.size >= order:
+        return True
+    return bsgs_order(gens) == order
 
 
 # -- centralizer and conjugator machinery --------------------------------
@@ -374,6 +508,7 @@ def conjugator_search(
 
 class SymmetricGroup(Group):
     kind = "sym"
+    generation_certificate = "bsgs"
 
     def __init__(self, n: int):
         if n < 1:
@@ -408,7 +543,7 @@ class SymmetricGroup(Group):
         return perm_order(g)
 
     def generates_pair(self, a, c) -> bool:
-        return bsgs_order([a, c]) == self.order
+        return generates_known_order([a, c], self.order)
 
     def descriptor(self) -> dict:
         return {"kind": "sym", "n": self.n}
@@ -416,6 +551,7 @@ class SymmetricGroup(Group):
 
 class AlternatingGroup(Group):
     kind = "alt"
+    generation_certificate = "bsgs"
 
     def __init__(self, n: int):
         if n < 3:
@@ -449,7 +585,7 @@ class AlternatingGroup(Group):
         return perm_order(g)
 
     def generates_pair(self, a, c) -> bool:
-        return bsgs_order([a, c]) == self.order
+        return generates_known_order([a, c], self.order)
 
     def descriptor(self) -> dict:
         return {"kind": "alt", "n": self.n}

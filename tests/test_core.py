@@ -13,7 +13,7 @@ from beauville.core import (
     generated_subgroup,
     generates,
 )
-from beauville.matgroups import SL2Group, sl2_constants
+from beauville.matgroups import SL2Group, diag_mat, sl2_constants
 from beauville.perms import SymmetricGroup, parse_cycles
 
 
@@ -101,10 +101,18 @@ def test_generates_examples():
 
 
 def test_generates_undecided_over_cap():
-    G = SL2Group(11)
-    consts = sl2_constants(11)
+    # A closure backend of order 120 > cap: undecided, never a boolean.
+    G = dihedral(60)
+    a, c = G.generators
     with pytest.raises(UndecidedError):
-        generates(G, consts["B"], consts["S"], cap=100)
+        generates(G, a, c, cap=100)
+    assert generates(G, a, c, cap=G.order)
+    # SL(2,11) (order 1320) is decided by orbit-stabilizer, not by closure,
+    # so the cap does not bind either way.
+    H = SL2Group(11)
+    consts = sl2_constants(11)
+    assert generates(H, consts["B"], consts["S"], cap=100) is True
+    assert generates(H, consts["T"], diag_mat(11, 2), cap=100) is False
 
 
 def test_generates_cross_check_closure_vs_chain():
