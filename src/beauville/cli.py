@@ -172,7 +172,7 @@ def cmd_search(args) -> int:
         type2=tuple(int(x) for x in args.type2.split(",")) if args.type2 else None,
         up_to_orbit=args.up_to_orbit,
     )
-    res = enumerate_unmixed(G, constraints, limit=args.limit, seed=args.seed)
+    res = enumerate_unmixed(G, constraints, limit=args.limit)
     data = dict(res.report)
     data["found"] = [structure_to_json(v) for v in res.structures[:args.limit or 50]]
     _emit(data, args.json)
@@ -203,7 +203,7 @@ def cmd_reality(args) -> int:
 
 def cmd_hunt(args) -> int:
     G = group_from_cli(args.group)
-    res = hunt_reality(G, args.want, budget=args.budget, seed=args.seed)
+    res = hunt_reality(G, args.want, budget=args.budget)
     data = dict(res.report)
     data["found"] = [structure_to_json(v) for v in res.structures[:20]]
     _emit(data, args.json)
@@ -211,13 +211,13 @@ def cmd_hunt(args) -> int:
 
 
 def cmd_wallpaper_scan(args) -> int:
-    rep = wallpaper_scan(args.d, args.m, seed=args.seed)
+    rep = wallpaper_scan(args.d, args.m)
     _emit(rep, args.json)
     return EXIT_PASS
 
 
 def cmd_scan_catalogue(args) -> int:
-    rep = scan_catalogue(args.max_order, args.mode, seed=args.seed)
+    rep = scan_catalogue(args.max_order, args.mode)
     _emit(rep, args.json)
     return EXIT_PASS if not rep["found"] else EXIT_FAIL
 
@@ -256,9 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, group=False):
         p.add_argument("--json", action="store_true", help="compact machine output")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker knob; has no effect on output")
         if group:
             p.add_argument("--group", help='descriptor, e.g. "ab2:5" or JSON')
 

@@ -543,6 +543,9 @@ class SymmetricGroup(Group):
         return perm_order(g)
 
     def generates_pair(self, a, c) -> bool:
+        # Two even permutations lie in A_n, a proper subgroup for n >= 2.
+        if self.n >= 2 and not (parity(a) or parity(c)):
+            return False
         return generates_known_order([a, c], self.order)
 
     def descriptor(self) -> dict:

@@ -101,16 +101,15 @@ class IndexedGroup:
             acc = self.mul_row[acc][i]
         return tuple(out)
 
-    def sigma_ids(self, i: int, j: int) -> frozenset:
-        """Class ids of the sigma set of the pair (element i, element j)."""
-        k = self.mul_row[i][j]
-        return self.power_classes[i] | self.power_classes[j] | self.power_classes[k]
-
     def sigma_elements(self, class_ids) -> frozenset:
         cid = self.class_id
         return frozenset(i for i in range(len(self.elems)) if cid[i] in class_ids)
 
-    def generates(self, i: int, j: int) -> bool:
+    def generates(self, i: int, j: int, within=None) -> bool:
+        """Whether elements i and j generate the group, or the subgroup
+        ``within`` (a set of ids) when given; the search stops at the
+        first element outside ``within``."""
+        target = len(self.elems) if within is None else len(within)
         seen = {self.id_index}
         queue = deque([self.id_index])
         rows = self.mul_row
@@ -119,9 +118,11 @@ class IndexedGroup:
             for s in (i, j):
                 y = rows[x][s]
                 if y not in seen:
+                    if within is not None and y not in within:
+                        return False
                     seen.add(y)
                     queue.append(y)
-        return len(seen) == len(self.elems)
+        return len(seen) == target
 
     def hyperbolic(self, i: int, j: int) -> bool:
         r = self.order_of[i]
@@ -130,11 +131,10 @@ class IndexedGroup:
         return s * t + r * t + r * s < r * s * t
 
 
-def _report(group: Group | None, mode: str, seed: int, t0: float, **extra) -> dict:
+def _report(group: Group | None, mode: str, t0: float, **extra) -> dict:
     out = {
         "group": group.descriptor() if group is not None else None,
         "mode": mode,
-        "seed": seed,
         "elapsed_ms": int((time.monotonic() - t0) * 1000),
     }
     out.update(extra)
@@ -161,59 +161,89 @@ class EnumerationResult:
         return len(self.structures)
 
 
+def _fingerprint_buckets(idx: IndexedGroup, per_fp_cap: int | None = None):
+    """Hyperbolic pairs (i, j) of non-identity elements, in index order,
+    keyed by the conjugacy-class fingerprint of their sigma set.
+
+    ``per_fp_cap`` bounds how many pairs are kept per fingerprint (None
+    keeps all, which an exhaustive search requires).  Returns the buckets
+    and whether the cap dropped any pair.
+    """
+    n = len(idx.elems)
+    e = idx.id_index
+    pc = idx.power_classes
+    by_fp: dict = {}
+    truncated = False
+    for i in range(n):
+        if i == e:
+            continue
+        row = idx.mul_row[i]
+        for j in range(n):
+            if j == e or not idx.hyperbolic(i, j):
+                continue
+            bucket = by_fp.setdefault(pc[i] | pc[j] | pc[row[j]], [])
+            if per_fp_cap is None or len(bucket) < per_fp_cap:
+                bucket.append((i, j))
+            else:
+                truncated = True
+    return by_fp, truncated
+
+
 def _structure_stream(G: Group, idx: IndexedGroup,
-                      constraints: SearchConstraints,
-                      per_fp_cap: int | None = None):
+                      constraints: SearchConstraints, by_fp: dict | None = None):
     """Yield unmixed structures in deterministic order.
 
     Pairs are pruned by the hyperbolicity bound before any sigma work;
     sigma sets are compared as conjugacy-class fingerprints, and
     generation is certified only for pairs participating in a
-    disjoint-fingerprint combination.  ``per_fp_cap`` bounds how many
-    candidate pairs are retained per fingerprint (None keeps all, which
-    full enumeration requires).
+    disjoint-fingerprint combination.  ``by_fp`` is the output of
+    ``_fingerprint_buckets``; by default every hyperbolic pair is kept,
+    so the stream is exhaustive.
     """
-    n = len(idx.elems)
-    id_class = idx.class_id[idx.id_index]
+    if by_fp is None:
+        by_fp, _ = _fingerprint_buckets(idx)
+    id_class = {idx.class_id[idx.id_index]}
+    type1, type2 = (None if t is None else tuple(t)
+                    for t in (constraints.type1, constraints.type2))
 
     def type_of(i, j):
         return (idx.order_of[i], idx.order_of[j], idx.order_of[idx.mul_row[i][j]])
-
-    by_fp: dict = {}
-    for i in range(n):
-        if i == idx.id_index:
-            continue
-        row = idx.mul_row[i]
-        for j in range(n):
-            if j == idx.id_index:
-                continue
-            if not idx.hyperbolic(i, j):
-                continue
-            fp = idx.power_classes[i] | idx.power_classes[j] | idx.power_classes[row[j]]
-            bucket = by_fp.setdefault(fp, [])
-            if per_fp_cap is None or len(bucket) < per_fp_cap:
-                bucket.append((i, j))
 
     fps = sorted(by_fp, key=sorted)
     gen_cache: dict = {}
 
     def generating_pairs(fp, want_type):
         for (i, j) in by_fp[fp]:
-            if want_type is not None and type_of(i, j) != tuple(want_type):
+            if want_type is not None and type_of(i, j) != want_type:
                 continue
-            ok = gen_cache.get((i, j))
+            # (i, j) and (j, i) generate one subgroup and share a bucket.
+            key = (i, j) if i < j else (j, i)
+            ok = gen_cache.get(key)
             if ok is None:
                 ok = idx.generates(i, j)
-                gen_cache[(i, j)] = ok
+                gen_cache[key] = ok
             if ok:
                 yield (i, j)
 
+    # (fingerprint, wanted type) -> whether its bucket has a generating
+    # pair; a combination with an empty side yields nothing, so it is
+    # skipped without walking the other side.
+    nonempty: dict = {}
+
+    def has_generating(fp, want_type):
+        key = (fp, want_type)
+        if key not in nonempty:
+            nonempty[key] = next(generating_pairs(fp, want_type), None) is not None
+        return nonempty[key]
+
     for x, f1 in enumerate(fps):
         for f2 in fps[x:]:
-            if (f1 & f2) != {id_class}:
+            if (f1 & f2) != id_class:
                 continue
-            for (i1, j1) in generating_pairs(f1, constraints.type1):
-                for (i2, j2) in generating_pairs(f2, constraints.type2):
+            if not (has_generating(f1, type1) and has_generating(f2, type2)):
+                continue
+            for (i1, j1) in generating_pairs(f1, type1):
+                for (i2, j2) in generating_pairs(f2, type2):
                     orderings = [((i1, j1), (i2, j2))]
                     if f1 != f2 or (i1, j1) != (i2, j2):
                         orderings.append(((i2, j2), (i1, j1)))
@@ -224,7 +254,7 @@ def _structure_stream(G: Group, idx: IndexedGroup,
 
 
 def enumerate_unmixed(G: Group, constraints: SearchConstraints | None = None,
-                      limit: int | None = None, seed: int = 0,
+                      limit: int | None = None,
                       cap: int = DEFAULT_ENUM_CAP) -> EnumerationResult:
     """All (or the first ``limit``) unmixed structures on a small group."""
     t0 = time.monotonic()
@@ -244,7 +274,7 @@ def enumerate_unmixed(G: Group, constraints: SearchConstraints | None = None,
     if constraints.up_to_orbit:
         structures = orbit_representatives(G, structures)
 
-    report = _report(G, "enumerate-unmixed", seed, t0,
+    report = _report(G, "enumerate-unmixed", t0,
                      found=len(structures), complete=complete,
                      up_to_orbit=constraints.up_to_orbit)
     return EnumerationResult(structures, report, complete)
@@ -342,9 +372,12 @@ def count_abelian(n: int, orbits: bool | None = None) -> AbelianCount:
 # -- catalogue scans ----------------------------------------------------------
 
 
-def scan_catalogue(max_order: int, mode: str, seed: int = 0) -> dict:
+def scan_catalogue(max_order: int, mode: str) -> dict:
     """Scan the fixed catalogue for structures; the expected result is
-    zero everywhere, reported with the partial-catalogue disclaimer."""
+    zero everywhere, reported with the partial-catalogue disclaimer.
+
+    Each group is searched exhaustively (the unmixed scan takes the first
+    structure of the uncapped stream), so ``complete`` is earned."""
     t0 = time.monotonic()
     if mode not in ("unmixed", "mixed"):
         raise PreconditionError(f"unknown scan mode {mode!r}")
@@ -357,58 +390,15 @@ def scan_catalogue(max_order: int, mode: str, seed: int = 0) -> dict:
         name = format_descriptor(desc)
         scanned.append(name)
         if mode == "unmixed":
-            hits = _scan_group_unmixed(G)
+            first = next(_structure_stream(G, IndexedGroup(G), SearchConstraints()), None)
+            hits = [] if first is None else [first]
         else:
             hits = _scan_group_mixed(G)
         for h in hits:
             found.append({"group": name, "witness": repr(h)})
-    return _report(None, f"scan-{mode}", seed, t0,
+    return _report(None, f"scan-{mode}", t0,
                    max_order=max_order, groups_scanned=len(scanned),
                    found=found, complete=True, disclaimer=CATALOGUE_DISCLAIMER)
-
-
-def _scan_group_unmixed(G: Group) -> list:
-    idx = IndexedGroup(G)
-    n = len(idx.elems)
-    id_class = idx.class_id[idx.id_index]
-    by_fp: dict = {}
-    for i in range(n):
-        if i == idx.id_index:
-            continue
-        row = idx.mul_row[i]
-        for j in range(n):
-            if j == idx.id_index or not idx.hyperbolic(i, j):
-                continue
-            fp = idx.power_classes[i] | idx.power_classes[j] | idx.power_classes[row[j]]
-            bucket = by_fp.setdefault(fp, [])
-            if len(bucket) < 64:
-                bucket.append((i, j))
-    fps = sorted(by_fp, key=sorted)
-    gen_cache: dict = {}
-
-    def first_generating(fp):
-        for (i, j) in by_fp[fp]:
-            ok = gen_cache.get((i, j))
-            if ok is None:
-                ok = idx.generates(i, j)
-                gen_cache[(i, j)] = ok
-            if ok:
-                return (i, j)
-        return None
-
-    for x, f1 in enumerate(fps):
-        for f2 in fps[x:]:
-            if (f1 & f2) != {id_class}:
-                continue
-            p1 = first_generating(f1)
-            if p1 is None:
-                continue
-            p2 = first_generating(f2)
-            if p2 is None:
-                continue
-            return [UnmixedStructure(G, idx.elems[p1[0]], idx.elems[p1[1]],
-                                     idx.elems[p2[0]], idx.elems[p2[1]])]
-    return []
 
 
 def _scan_group_mixed(G: Group) -> list:
@@ -436,7 +426,7 @@ def _scan_group_mixed(G: Group) -> list:
                     continue
                 if not idx.hyperbolic(i, j):
                     continue
-                if not _pair_generates_subset(idx, i, j, H_set):
+                if not idx.generates(i, j, within=H_set):
                     continue
                 sigma = _sigma_under_pair(idx, i, j)
                 if sigma & Q:
@@ -501,22 +491,6 @@ def _index2_subgroups(idx: IndexedGroup) -> list:
     return sorted(out, key=sorted)
 
 
-def _pair_generates_subset(idx: IndexedGroup, i: int, j: int, subset) -> bool:
-    seen = {idx.id_index}
-    queue = deque([idx.id_index])
-    rows = idx.mul_row
-    while queue:
-        x = queue.popleft()
-        for s in (i, j):
-            y = rows[x][s]
-            if y not in seen:
-                if y not in subset:
-                    return False
-                seen.add(y)
-                queue.append(y)
-    return len(seen) == len(subset)
-
-
 def _sigma_under_pair(idx: IndexedGroup, i: int, j: int) -> frozenset:
     """Sigma set of the pair with conjugation by the subgroup the pair
     generates (BFS closure under conjugation by i and j)."""
@@ -539,7 +513,7 @@ def _sigma_under_pair(idx: IndexedGroup, i: int, j: int) -> frozenset:
 # -- wallpaper scan ------------------------------------------------------------
 
 
-def wallpaper_scan(d: int, m: int, seed: int = 0) -> dict:
+def wallpaper_scan(d: int, m: int) -> dict:
     """Minimum sigma-intersection size over all pairs of generating
     systems of the wallpaper quotient, with a witnessing pair."""
     t0 = time.monotonic()
@@ -559,7 +533,7 @@ def wallpaper_scan(d: int, m: int, seed: int = 0) -> dict:
                 pair_by_fp[fp] = (i, j)
     fps = sorted(sigma_by_fp, key=sorted)
     if not fps:
-        return _report(G, "wallpaper-scan", seed, t0, minimum=None,
+        return _report(G, "wallpaper-scan", t0, minimum=None,
                        witness=None, systems=0)
     best = None
     witness = None
@@ -574,21 +548,24 @@ def wallpaper_scan(d: int, m: int, seed: int = 0) -> dict:
         "system1": [repr(idx.elems[w1[0]]), repr(idx.elems[w1[1]])],
         "system2": [repr(idx.elems[w2[0]]), repr(idx.elems[w2[1]])],
     }
-    return _report(G, "wallpaper-scan", seed, t0, minimum=best, witness=wit,
+    return _report(G, "wallpaper-scan", t0, minimum=best, witness=wit,
                    systems=len(fps))
 
 
 # -- reality hunt ---------------------------------------------------------------
 
 
-def hunt_reality(G: Group, want: str, budget: int = 5000, seed: int = 0,
+def hunt_reality(G: Group, want: str, budget: int = 5000,
                  cap: int = DEFAULT_ENUM_CAP) -> EnumerationResult:
     """Structures whose reality verdict matches ``want``.
 
     ``want`` is one of "real", "not-biholo", "biholo-not-real".  Small
-    groups are enumerated exhaustively; larger supported families fall
-    back to a deterministic stream of gallery-style candidates (the
-    exhaustive search space is out of reach there).
+    groups are searched through the structure stream with at most 16
+    pairs kept per fingerprint, so the report is complete only when that
+    cap dropped no pair and the stream ran out within ``budget``; larger
+    supported families fall back to a deterministic stream of
+    gallery-style candidates (the exhaustive search space is out of
+    reach there).
     """
     t0 = time.monotonic()
     if want not in ("real", "not-biholo", "biholo-not-real"):
@@ -605,8 +582,10 @@ def hunt_reality(G: Group, want: str, budget: int = 5000, seed: int = 0,
     complete = True
     if G.order <= cap:
         idx = IndexedGroup(G, cap=cap)
+        by_fp, truncated = _fingerprint_buckets(idx, per_fp_cap=16)
+        complete = not truncated
         examined = 0
-        for v in _structure_stream(G, idx, SearchConstraints(), per_fp_cap=16):
+        for v in _structure_stream(G, idx, SearchConstraints(), by_fp):
             if examined >= budget:
                 complete = False
                 break
@@ -618,7 +597,7 @@ def hunt_reality(G: Group, want: str, budget: int = 5000, seed: int = 0,
         for v in _gallery_candidates(G, budget):
             if check_unmixed(G, v).passed and matches(reality_unmixed(G, v)):
                 out.append(v)
-    report = _report(G, f"hunt-{want}", seed, t0, found=len(out),
+    report = _report(G, f"hunt-{want}", t0, found=len(out),
                      complete=complete)
     return EnumerationResult(out, report, complete)
 

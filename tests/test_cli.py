@@ -116,6 +116,16 @@ def test_cli_search_json():
     assert check_unmixed(w.group, w).passed
 
 
+def test_cli_reports_carry_no_seed():
+    search = run_bv("search", "--group", "ab2:5", "--limit", "1", "--json")
+    scan = run_bv("scan-catalogue", "--max-order", "16", "--mode", "unmixed", "--json")
+    for proc in (search, scan):
+        assert proc.returncode == 0
+        assert "seed" not in json.loads(proc.stdout)
+    assert run_bv("search", "--group", "ab2:5", "--threads", "2").returncode == 64
+    assert run_bv("search", "--group", "ab2:5", "--seed", "1").returncode == 64
+
+
 def test_cli_usage_errors():
     assert run_bv("gallery", "unknown-name").returncode == 64
     assert run_bv("nope").returncode == 64

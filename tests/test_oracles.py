@@ -1,19 +1,34 @@
-"""Differential oracles for the exact generation certificates.
+"""Differential oracles for the exact generation certificates and the
+catalogue scan.
 
 The known-order stabilizer chain (S_n, A_n) and orbit-stabilizer on
 vectors (SL(2,p), PSL(2,p)) are checked against the deterministic chain
-``bsgs_order`` and against closure, which know nothing of either.
+``bsgs_order`` and against closure, which know nothing of either.  The
+unmixed catalogue scan is checked against a brute force that uses
+neither the indexed tables nor fingerprint buckets.
 """
 
 import random
 
 import pytest
 
-from beauville import core, gallery, perms
-from beauville.constructions import Abelian2, dihedral
+from beauville import core, gallery, perms, search
+from beauville.constructions import (
+    Abelian2,
+    catalogue,
+    dihedral,
+    format_descriptor,
+    group_from_descriptor,
+)
 from beauville.core import conjugacy_class, generated_subgroup, generates
 from beauville.matgroups import PSL2Group, SL2Group, diag_mat, sl2_constants
-from beauville.perms import AlternatingGroup, SymmetricGroup, bsgs_order, parse_cycles
+from beauville.perms import (
+    AlternatingGroup,
+    SymmetricGroup,
+    bsgs_order,
+    parity,
+    parse_cycles,
+)
 from beauville.structures import UnmixedStructure, check_unmixed
 
 
@@ -81,6 +96,21 @@ def test_chain_certificate_seeded_pairs(G, fallbacks):
             # A positive is proved by the chain's lower bound alone.
             assert len(fallbacks) == before
     assert positives >= 20
+
+
+def test_even_pairs_refuted_without_chain(fallbacks):
+    # Two even permutations lie in A_7 < S_7.
+    S7 = SymmetricGroup(7)
+    evens = sorted(x for x in S7.elements() if parity(x) == 0)
+    rng = random.Random(5)
+    for _ in range(40):
+        a, c = rng.choice(evens), rng.choice(evens)
+        assert not _by_closure(S7, a, c)
+        assert not S7.generates_pair(a, c), (a, c)
+    # A_7's own generators reach all of A_7, still a proper subgroup.
+    A7 = AlternatingGroup(7)
+    assert not S7.generates_pair(*A7.generators)
+    assert fallbacks == []
 
 
 @pytest.mark.parametrize("G", [SL2Group(5), PSL2Group(7)], ids=lambda g: f"{g.kind}{g.p}")
@@ -183,3 +213,53 @@ def test_generation_strategy_names_the_certificate(G, label):
     report = check_unmixed(G, v)
     strategies = {cond.id: cond.strategy for cond in report.conditions}
     assert strategies["generates-1"] == strategies["generates-2"] == label
+
+
+def _has_structure_by_brute_force(G) -> bool:
+    """Whether G has an unmixed structure: two generating hyperbolic pairs
+    whose sets of conjugacy classes of powers of a, c and ac meet only in
+    the identity class.  Generation is checked by closure.  The set of
+    such class sets is invariant under conjugating the pair, so a runs
+    over class representatives only."""
+    elements = sorted(G.elements(), key=repr)
+    class_of = {}
+    for x in elements:
+        if x not in class_of:
+            cls = conjugacy_class(G, x)
+            class_of.update(dict.fromkeys(cls, cls))
+    reps = sorted({min(cls, key=repr) for cls in class_of.values()}, key=repr)
+
+    def power_classes(g):
+        out, x = set(class_of[G.identity]), g
+        while x != G.identity:
+            out |= class_of[x]
+            x = G.mul(x, g)
+        return out
+
+    sigmas = set()
+    for a in reps:
+        r = G.element_order(a)
+        for c in elements:
+            ac = G.mul(a, c)
+            s, t = G.element_order(c), G.element_order(ac)
+            if s * t + r * t + r * s >= r * s * t:
+                continue
+            if len(generated_subgroup(G, [a, c])) != G.order:
+                continue
+            sigmas.add(frozenset(power_classes(a) | power_classes(c) | power_classes(ac)))
+    return any(s1 & s2 == {G.identity} for s1 in sigmas for s2 in sigmas)
+
+
+def test_unmixed_scan_against_brute_force(monkeypatch):
+    # (Z/5)^2, off the catalogue, has structures: the positive control.
+    descs = catalogue(48) + [{"kind": "ab2", "n": 5}]
+    monkeypatch.setattr(search, "catalogue", lambda max_order: descs)
+    rep = search.scan_catalogue(48, "unmixed")
+    assert rep["complete"] is True
+    assert rep["groups_scanned"] == len(descs)
+    hits = {f["group"] for f in rep["found"]}
+    assert hits == {"ab2:5"}
+    for desc in descs:
+        G = group_from_descriptor(desc)
+        name = format_descriptor(desc)
+        assert (name in hits) == _has_structure_by_brute_force(G), name

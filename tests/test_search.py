@@ -125,6 +125,20 @@ def test_index2_subgroups():
     assert _index2_subgroups(A4) == []
 
 
+def test_generates_within_subgroup():
+    # D6 (order 12) has three index-2 subgroups; a pair that generates one
+    # of them generates neither another one nor the whole group.
+    D6 = IndexedGroup(dihedral(6))
+    subs = _index2_subgroups(D6)
+    for H in subs:
+        pairs = [(i, j) for i in H for j in H if D6.generates(i, j, within=H)]
+        assert pairs
+        assert not any(D6.generates(i, j) for i, j in pairs)
+        for other in subs:
+            if other != H:
+                assert not any(D6.generates(i, j, within=other) for i, j in pairs)
+
+
 def test_scan_catalogue_unmixed_small():
     rep = scan_catalogue(60, "unmixed")
     assert rep["found"] == []
@@ -158,6 +172,32 @@ def test_hunt_reality_ab2_not_biholo_empty():
 def test_hunt_reality_ab2_real_nonempty():
     res = hunt_reality(Abelian2(5), "real", budget=50)
     assert res.structures
+
+
+def test_hunt_reality_truncated_buckets_are_not_complete():
+    # The hunt keeps 16 pairs per fingerprint.  On SL(2,7) that capped
+    # stream runs out with no real structure, while the first 10
+    # structures of the uncapped stream are all real.
+    G = SL2Group(7)
+    res = hunt_reality(G, "real", budget=10)
+    assert res.structures == []
+    assert res.complete is False and res.report["complete"] is False
+    from itertools import islice
+
+    from beauville.reality import reality_unmixed
+    from beauville.search import _structure_stream
+
+    first = list(islice(_structure_stream(G, IndexedGroup(G), SearchConstraints()), 10))
+    assert len(first) == 10
+    assert all(reality_unmixed(G, v).real is True for v in first)
+
+
+def test_hunt_reality_complete_without_truncation():
+    # A4 has no hyperbolic pair (its element orders are at most 3), so no
+    # bucket is truncated.
+    res = hunt_reality(AlternatingGroup(4), "real")
+    assert res.structures == []
+    assert res.complete is True
 
 
 @pytest.mark.slow
