@@ -373,11 +373,6 @@ class H4(Group):
         e = self.inner.identity
         return (e, e, 1)
 
-    def index2_element(self, h1, h2, t) -> tuple:
-        if t % 2:
-            raise PreconditionError("index-2 subgroup elements carry an even twist")
-        return (h1, h2, t % 4)
-
     def descriptor(self) -> dict:
         return {"kind": "h4", "inner": self.inner.descriptor()}
 

@@ -10,7 +10,7 @@ structure checkers, searches) operate through this interface only.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Callable, Iterable
 
 
 DEFAULT_CLOSURE_CAP = 10**6
@@ -139,26 +139,35 @@ def conjugate(G: Group, g, h):
     return G.mul(h, G.mul(g, G.inv(h)))
 
 
-def generated_subgroup(G: Group, gens: Iterable, cap: int = DEFAULT_CLOSURE_CAP) -> frozenset:
-    """BFS closure of ``gens`` under multiplication.
+def orbit(start: Iterable, images: Callable, cap: int, what: str) -> set:
+    """Breadth-first orbit of the points ``start`` under ``images(x)``,
+    the points one step away from x.
 
-    Raises CapacityExceeded once the closure grows past ``cap`` (an
-    explicit overflow signal, never a silent truncation).
+    Raises CapacityExceeded(what, cap) exactly when the orbit has more
+    than ``cap`` points (an explicit overflow signal, never a silent
+    truncation).
     """
-    gens = list(gens)
-    seen = {G.identity}
-    queue = deque([G.identity])
-    mul = G.mul
+    seen = set(start)
+    if len(seen) > cap:
+        raise CapacityExceeded(what, cap)
+    queue = deque(seen)
     while queue:
-        x = queue.popleft()
-        for s in gens:
-            y = mul(x, s)
+        for y in images(queue.popleft()):
             if y not in seen:
                 if len(seen) >= cap:
-                    raise CapacityExceeded("subgroup closure", cap)
+                    raise CapacityExceeded(what, cap)
                 seen.add(y)
                 queue.append(y)
-    return frozenset(seen)
+    return seen
+
+
+def generated_subgroup(G: Group, gens: Iterable, cap: int = DEFAULT_CLOSURE_CAP) -> frozenset:
+    """Closure of ``gens`` under multiplication; past ``cap`` elements
+    CapacityExceeded("subgroup closure", cap) is raised."""
+    gens = list(gens)
+    mul = G.mul
+    return frozenset(orbit([G.identity], lambda x: [mul(x, s) for s in gens],
+                           cap, "subgroup closure"))
 
 
 def generates(G: Group, a, c, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
@@ -188,6 +197,7 @@ def generates(G: Group, a, c, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
 def conjugacy_class(G: Group, g, cap: int = DEFAULT_CLASS_CAP) -> frozenset:
     """Orbit of g under conjugation by the context generators (BFS)."""
     G.check_element(g)
+    # Inline, not orbit(): a callback per node cost 20% here (SL(2,31) class 1.83 -> 2.21 ms).
     gens = [(h, G.inv(h)) for h in G.generators]
     seen = {g}
     queue = deque([g])
@@ -203,7 +213,3 @@ def conjugacy_class(G: Group, g, cap: int = DEFAULT_CLASS_CAP) -> frozenset:
                 queue.append(y)
     return frozenset(seen)
 
-
-def iter_coset(G: Group, rep, subgroup_elements: Iterable) -> Iterator:
-    for h in subgroup_elements:
-        yield G.mul(rep, h)

@@ -82,13 +82,6 @@ def parse_element(G: Group, text: str):
     return element_from_json(G, json.loads(text))
 
 
-def format_element(G: Group, x) -> str:
-    data = element_to_json(G, x)
-    if isinstance(data, str):
-        return data
-    return json.dumps(data)
-
-
 def group_from_cli(text: str) -> Group:
     """Accept either shorthand ("ab2:5") or a JSON descriptor."""
     text = text.strip()

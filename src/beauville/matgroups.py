@@ -329,6 +329,7 @@ def generates_sl2(p: int, a: Mat2, c: Mat2, projective: bool = False) -> bool:
     Schreier generator of the edge (x, g) is trivial iff g u_x equals
     u_{gx} (up to sign): one comparison per edge.
     """
+    # Not core.orbit: the search keeps a transversal and tests Schreier generators.
     half = (p - 1) // 2
     ident = mat_id(p)
     trans = {(1, 0): ident}

@@ -13,7 +13,7 @@ import math
 import random
 import re
 
-from .core import CapacityExceeded, Group, PreconditionError
+from .core import CapacityExceeded, Group, PreconditionError, orbit
 
 DEFAULT_CENTRALIZER_CAP = 10**7
 
@@ -200,6 +200,7 @@ class _ChainNode:
                     self.stab.add_gen(schreier)
 
     def _rebuild_orbit(self):
+        # Not core.orbit: the search records a transversal and tree edges, not only points.
         ident = identity_perm(self.n)
         self.transversal = {self.base: ident}
         self._trans_inv = {self.base: ident}
@@ -313,6 +314,7 @@ class _PartialChain:
         self.size = math.prod(len(t) for t in self.trans)
 
     def _extend_orbit(self, i: int, h: tuple):
+        # Not core.orbit: the search records a transversal, not only points.
         # The orbit is closed under the older generators: images under h
         # come first, then the new points under every generator of the level.
         trans, trans_inv = self.trans[i], self.trans_inv[i]
@@ -368,11 +370,7 @@ def generates_known_order(gens: list, order: int) -> bool:
     """
     gens = [tuple(g) for g in gens]
     n = len(gens[0])
-    orbit, frontier = {0}, {0}
-    while frontier:
-        frontier = {g[x] for x in frontier for g in gens} - orbit
-        orbit |= frontier
-    if len(orbit) < n:
+    if len(orbit([0], lambda x: [g[x] for g in gens], n, "point orbit")) < n:
         return False
     chain = _PartialChain(n)
     idle = 0

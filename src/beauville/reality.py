@@ -15,8 +15,8 @@ componentwise coset solves with a shared-coset compatibility condition.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 from .core import (
     CapacityExceeded,
@@ -24,6 +24,7 @@ from .core import (
     InconsistencyError,
     PreconditionError,
     conjugate,
+    orbit,
 )
 from .matgroups import (
     PSL2Group,
@@ -78,24 +79,19 @@ def iota(x):
     raise PreconditionError(f"iota undefined for {type(x).__name__}")
 
 
+def _pair_images(G: Group, gens: list, pair: tuple) -> list:
+    """The five nontrivial transformations of a pair and its conjugates
+    by each generator in ``gens``."""
+    a, c = pair
+    images = [apply_sigma(G, i, pair) for i in range(1, 6)]
+    images.extend((conjugate(G, a, g), conjugate(G, c, g)) for g in gens)
+    return images
+
+
 def it_orbit(G: Group, pair: tuple, cap: int = 10**6) -> frozenset:
     """Orbit of the pair under inner automorphisms and the six
-    transformations, by BFS."""
-    gens = G.generators
-    seen = {pair}
-    queue = deque([pair])
-    while queue:
-        p = queue.popleft()
-        images = [apply_sigma(G, i, p) for i in range(1, 6)]
-        for g in gens:
-            images.append((conjugate(G, p[0], g), conjugate(G, p[1], g)))
-        for q in images:
-            if q not in seen:
-                if len(seen) >= cap:
-                    raise CapacityExceeded("pair orbit", cap)
-                seen.add(q)
-                queue.append(q)
-    return frozenset(seen)
+    transformations."""
+    return frozenset(orbit([pair], partial(_pair_images, G, G.generators), cap, "pair orbit"))
 
 
 # -- case patterns ---------------------------------------------------------
@@ -144,7 +140,6 @@ class AutBackend:
     kind: str
     complete: bool
     _solver: object
-    label_names: tuple
 
     def solve(self, G: Group, a, c, u, v) -> CaseSolution:
         """Labels of automorphisms psi with psi(a) = u, psi(c) = v."""
@@ -259,18 +254,18 @@ def backend_for(G: Group, inner_cap: int = 20000) -> AutBackend:
     if isinstance(G, SymmetricGroup):
         if G.n == 6:
             raise PreconditionError("degree-6 symmetric group has an exceptional outer automorphism")
-        return AutBackend("sym-conjugation", True, _sym_solver, ("inner",))
+        return AutBackend("sym-conjugation", True, _sym_solver)
     if isinstance(G, AlternatingGroup):
         if G.n == 6:
             raise PreconditionError("degree-6 alternating group has an exceptional outer automorphism")
-        return AutBackend("sym-conjugation", True, _alt_solver, ("even", "odd"))
+        return AutBackend("sym-conjugation", True, _alt_solver)
     if isinstance(G, SL2Group):
-        return AutBackend("slpm-conjugation", True, _sl2_solver, ("sl", "slw"))
+        return AutBackend("slpm-conjugation", True, _sl2_solver)
     if isinstance(G, PSL2Group):
-        return AutBackend("slpm-conjugation", True, _psl2_solver, ("sl", "slw"))
+        return AutBackend("slpm-conjugation", True, _psl2_solver)
     if G.kind == "ab2":
-        return AutBackend("gl2-action", True, _ab2_solver, ("gl2",))
-    return AutBackend("inner-only", False, _inner_solver_factory(inner_cap), ("inner",))
+        return AutBackend("gl2-action", True, _ab2_solver)
+    return AutBackend("inner-only", False, _inner_solver_factory(inner_cap))
 
 
 # -- case tables -------------------------------------------------------------
@@ -512,42 +507,27 @@ def _primitive_root(p: int) -> int:
     raise InconsistencyError(f"no primitive root mod {p}")
 
 
+def _structure_images(G: Group, gens: list, auts: list, key: tuple) -> list:
+    a1, c1, a2, c2 = key
+    images = [(x, y, a2, c2) for x, y in _pair_images(G, gens, (a1, c1))]
+    images += [(a1, c1, x, y) for x, y in _pair_images(G, gens, (a2, c2))]
+    images += [(f(a1), f(c1), f(a2), f(c2)) for f in auts]
+    images.append((a2, c2, a1, c1))
+    return images
+
+
 def _au_orbit(G: Group, v: UnmixedStructure, cap: int = 10**6) -> set:
     """Full orbit of a structure under the equivalence group (per-side
     pair transformations and inner twists, diagonal automorphisms, and
     the pair swap)."""
-    auts = aut_generator_maps(G)
-    start = _structure_key(v)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        a1, c1, a2, c2 = queue.popleft()
-        images = []
-        for i in range(1, 6):
-            x, y = apply_sigma(G, i, (a1, c1))
-            images.append((x, y, a2, c2))
-            x, y = apply_sigma(G, i, (a2, c2))
-            images.append((a1, c1, x, y))
-        for g in G.generators:
-            images.append((conjugate(G, a1, g), conjugate(G, c1, g), a2, c2))
-            images.append((a1, c1, conjugate(G, a2, g), conjugate(G, c2, g)))
-        for f in auts:
-            images.append((f(a1), f(c1), f(a2), f(c2)))
-        images.append((a2, c2, a1, c1))
-        for q in images:
-            if q not in seen:
-                if len(seen) >= cap:
-                    raise CapacityExceeded("structure orbit", cap)
-                seen.add(q)
-                queue.append(q)
-    return seen
+    images = partial(_structure_images, G, G.generators, aut_generator_maps(G))
+    return orbit([_structure_key(v)], images, cap, "structure orbit")
 
 
 # -- mixed reality ------------------------------------------------------------
 
 
-def reality_mixed(G: Group, u: MixedQuadruple,
-                  backend: AutBackend | None = None) -> RealityVerdict:
+def reality_mixed(G: Group, u: MixedQuadruple) -> RealityVerdict:
     """Reality decisions for a mixed structure on a swap product over SL.
 
     Automorphisms preserve the even-twist subgroup and split over the

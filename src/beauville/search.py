@@ -75,6 +75,7 @@ class IndexedGroup:
 
     def _classes(self):
         n = len(self.elems)
+        # Inline, not orbit(): a callback per node made IndexedGroup(SL(2,7)) 77 -> 93 ms.
         gen_ids = [self.index[g] for g in self.ctx.generators]
         class_id = [-1] * n
         next_id = 0
@@ -109,6 +110,7 @@ class IndexedGroup:
         """Whether elements i and j generate the group, or the subgroup
         ``within`` (a set of ids) when given; the search stops at the
         first element outside ``within``."""
+        # Inline, not orbit(): a callback per node slowed the mixed 136 scan by 10-20%.
         target = len(self.elems) if within is None else len(within)
         seen = {self.id_index}
         queue = deque([self.id_index])
@@ -212,9 +214,12 @@ def _structure_stream(G: Group, idx: IndexedGroup,
     fps = sorted(by_fp, key=sorted)
     gen_cache: dict = {}
 
-    def generating_pairs(fp, want_type):
+    def fits(pair, want_type):
+        return want_type is None or type_of(*pair) == want_type
+
+    def generating_pairs(fp, want_types):
         for (i, j) in by_fp[fp]:
-            if want_type is not None and type_of(i, j) != want_type:
+            if want_types is not None and type_of(i, j) not in want_types:
                 continue
             # (i, j) and (j, i) generate one subgroup and share a bucket.
             key = (i, j) if i < j else (j, i)
@@ -226,31 +231,35 @@ def _structure_stream(G: Group, idx: IndexedGroup,
                 yield (i, j)
 
     # (fingerprint, wanted type) -> whether its bucket has a generating
-    # pair; a combination with an empty side yields nothing, so it is
-    # skipped without walking the other side.
+    # pair; a combination with no (type1, type2) match in either order
+    # yields nothing, so it is skipped without walking its buckets.
     nonempty: dict = {}
 
     def has_generating(fp, want_type):
         key = (fp, want_type)
         if key not in nonempty:
-            nonempty[key] = next(generating_pairs(fp, want_type), None) is not None
+            wanted = None if want_type is None else (want_type,)
+            nonempty[key] = next(generating_pairs(fp, wanted), None) is not None
         return nonempty[key]
 
+    # Pairs of either fingerprint may take either place of the structure.
+    both = None if type1 is None or type2 is None else (type1, type2)
+    # A fingerprint holds the identity class and another, so it is never
+    # disjoint from itself.
     for x, f1 in enumerate(fps):
-        for f2 in fps[x:]:
+        for f2 in fps[x + 1:]:
             if (f1 & f2) != id_class:
                 continue
-            if not (has_generating(f1, type1) and has_generating(f2, type2)):
+            if not (has_generating(f1, type1) and has_generating(f2, type2)
+                    or has_generating(f2, type1) and has_generating(f1, type2)):
                 continue
-            for (i1, j1) in generating_pairs(f1, type1):
-                for (i2, j2) in generating_pairs(f2, type2):
-                    orderings = [((i1, j1), (i2, j2))]
-                    if f1 != f2 or (i1, j1) != (i2, j2):
-                        orderings.append(((i2, j2), (i1, j1)))
-                    for (p1, p2) in orderings:
-                        yield UnmixedStructure(
-                            G, idx.elems[p1[0]], idx.elems[p1[1]],
-                            idx.elems[p2[0]], idx.elems[p2[1]])
+            for p in generating_pairs(f1, both):
+                for q in generating_pairs(f2, both):
+                    for (p1, p2) in ((p, q), (q, p)):
+                        if fits(p1, type1) and fits(p2, type2):
+                            yield UnmixedStructure(
+                                G, idx.elems[p1[0]], idx.elems[p1[1]],
+                                idx.elems[p2[0]], idx.elems[p2[1]])
 
 
 def enumerate_unmixed(G: Group, constraints: SearchConstraints | None = None,
@@ -443,6 +452,7 @@ def _index2_subgroups(idx: IndexedGroup) -> list:
     """Index-2 subgroups, via the subgroup generated by all squares."""
     n = len(idx.elems)
     squares = sorted({idx.mul_row[x][x] for x in range(n)})
+    # Inline, not orbit(): a callback per node slowed the mixed 136 scan by 10-20%.
     closure = {idx.id_index}
     queue = deque([idx.id_index])
     while queue:
@@ -497,6 +507,7 @@ def _sigma_under_pair(idx: IndexedGroup, i: int, j: int) -> frozenset:
     seeds = set(idx.power_ids[i]) | set(idx.power_ids[j]) \
         | set(idx.power_ids[idx.mul_row[i][j]])
     conjers = [(i, idx.inv[i]), (j, idx.inv[j])]
+    # Inline, not orbit(): a callback per node slowed the mixed 136 scan by 10-20%.
     seen = set(seeds)
     queue = deque(seeds)
     rows = idx.mul_row

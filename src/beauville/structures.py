@@ -21,7 +21,9 @@ from .core import (
     PreconditionError,
     UndecidedError,
     conjugacy_class,
+    generated_subgroup,
     generates,
+    orbit,
 )
 from .perms import cycle_type
 
@@ -45,9 +47,6 @@ class PairMetrics:
     @property
     def triple(self) -> tuple:
         return (self.r, self.s, self.t)
-
-    def order_set(self) -> frozenset:
-        return frozenset((self.r, self.s, self.t))
 
     def order_multiset(self) -> tuple:
         return tuple(sorted((self.r, self.s, self.t)))
@@ -88,20 +87,17 @@ def genus(G: Group, a, c) -> int:
 
 @dataclass(frozen=True)
 class SigmaSet:
-    """Union of conjugates of <a>, <c>, <ac> in one of three representations.
+    """Union of conjugates of <a>, <c>, <ac> in one of two representations.
 
     exact: the element set itself.  cycle-type: the set of cycle types
     of the powers (exact for a full symmetric ambient group, a
     sufficient-only disjointness criterion for alternating ones).
-    order-divisor: the set of element orders of the powers (sufficient
-    criterion via coprimality only).
     """
 
     strategy: str
     elements: frozenset | None = None
     types: frozenset | None = None
     types_exact: bool = False
-    orders: frozenset | None = None
 
     def size(self) -> int | None:
         return len(self.elements) if self.elements is not None else None
@@ -138,14 +134,6 @@ def sigma_set(G: Group, a, c, strategy: str = "exact",
                 types.add(cycle_type(y))
         return SigmaSet(strategy="cycle-type", types=frozenset(types),
                         types_exact=(G.kind == "sym"))
-    if strategy == "order-divisor":
-        orders = set()
-        for x in seeds:
-            ox = G.element_order(x)
-            for d in range(1, ox + 1):
-                if ox % d == 0:
-                    orders.add(d)
-        return SigmaSet(strategy="order-divisor", orders=frozenset(orders))
     raise PreconditionError(f"unknown sigma strategy {strategy!r}")
 
 
@@ -190,23 +178,17 @@ class UnmixedStructure:
 class IndexTwoSubgroup:
     """Membership view of an index-2 subgroup of a group context."""
 
-    def __init__(self, contains, order: int, elements=None, description: str = ""):
+    def __init__(self, contains, order: int, description: str = ""):
         self._contains = contains
         self.order = order
-        self.elements = elements
         self.description = description
 
     def contains(self, x) -> bool:
         return self._contains(x)
 
     @classmethod
-    def from_elements(cls, elements, description: str = "") -> "IndexTwoSubgroup":
-        elements = frozenset(elements)
-        return cls(elements.__contains__, len(elements), elements, description)
-
-    @classmethod
     def h2_of(cls, G) -> "IndexTwoSubgroup":
-        return cls(G.in_index2, G.index2_order, None, "even-twist subgroup")
+        return cls(G.in_index2, G.index2_order, "even-twist subgroup")
 
 
 @dataclass(frozen=True)
@@ -369,21 +351,26 @@ def check_mixed(G: Group, M: MixedQuadruple,
     sigma set with its image under conjugation by g.
     """
     report = CheckReport(verdict="undecided")
-    if M.subgroup.contains(M.g):
+    sub = M.subgroup
+    if sub.contains(M.g):
         raise PreconditionError("coset representative g lies in the index-2 subgroup")
-    if 2 * M.subgroup.order != G.order:
+    if 2 * sub.order != G.order:
         raise PreconditionError("subgroup does not have index 2")
 
-    sub = _SubgroupView(G, M)
-    gen_ok = sub.generated_by_pair(subgroup_cap)
-    if gen_ok is None:
-        detail = "subgroup too large for closure; use the inner-criteria checker for swap products"
-    elif gen_ok:
-        detail = None
-    else:
-        detail = "pair does not generate the index-2 subgroup"
-    _condition(report, "generates-subgroup", gen_ok, "closure", detail)
-    if gen_ok is not True:
+    if sub.order > subgroup_cap:
+        _condition(report, "generates-subgroup", None, "closure",
+                   "subgroup too large for closure; use the inner-criteria "
+                   "checker for swap products")
+        return _settle(report)
+    # With a and c in the subgroup, their closure lies in it and stays
+    # under the cap; it is also the element list of the coset scan.
+    elements = None
+    if sub.contains(M.a) and sub.contains(M.c):
+        elements = generated_subgroup(G, [M.a, M.c], cap=subgroup_cap)
+    gen_ok = elements is not None and len(elements) == sub.order
+    _condition(report, "generates-subgroup", gen_ok, "closure",
+               None if gen_ok else "pair does not generate the index-2 subgroup")
+    if not gen_ok:
         return _settle(report)
 
     # A commuting generating pair makes the subgroup abelian, which no
@@ -395,117 +382,46 @@ def check_mixed(G: Group, M: MixedQuadruple,
     if abelian:
         return _settle(report)
 
-    sigma = sub.sigma_exact(class_cap)
-    if sigma is None:
+    # Sigma of (a, c) inside the subgroup: conjugation by a and c
+    # generates its whole conjugation action.
+    mul = G.mul
+    conjugators = [(x, G.inv(x)) for x in (M.a, M.c)]
+
+    def conjugates(y):
+        return [mul(h, mul(y, hi)) for h, hi in conjugators]
+
+    sigma: set = set()
+    try:
+        for x in (M.a, M.c, mul(M.a, M.c)):
+            for y in _power_closure(G, x):
+                if y not in sigma:
+                    sigma |= orbit([y], conjugates, class_cap, "conjugacy class")
+    except CapacityExceeded:
         _condition(report, "coset-squares", None, "exact",
                    "sigma set over class cap")
         _condition(report, "conjugate-sigma-intersection", None, "exact", None)
         return _settle(report)
 
-    bad = sub.coset_square_hit(sigma, subgroup_cap)
-    if bad is UNDECIDED:
-        _condition(report, "coset-squares", None, "coset-scan", "coset over cap")
-    else:
-        _condition(report, "coset-squares", bad is None, "coset-scan",
-                   None if bad is None else "some (g*gamma)^2 lies in the sigma set")
-        if bad is not None:
-            report.witness = bad
-            return _settle(report)
+    g = M.g
+    bad = None
+    for gamma in elements:
+        x = mul(g, gamma)
+        if mul(x, x) in sigma:
+            bad = gamma
+            break
+    _condition(report, "coset-squares", bad is None, "coset-scan",
+               None if bad is None else "some (g*gamma)^2 lies in the sigma set")
+    if bad is not None:
+        report.witness = bad
+        return _settle(report)
 
-    conj_sigma = frozenset(G.mul(M.g, G.mul(x, G.inv(M.g))) for x in sigma)
+    conj_sigma = frozenset(mul(g, mul(x, G.inv(g))) for x in sigma)
     common = (sigma & conj_sigma) - {G.identity}
     _condition(report, "conjugate-sigma-intersection", not common, "exact",
                None if not common else "sigma meets its g-conjugate nontrivially")
     if common:
         report.witness = min(common, key=repr)
     return _settle(report)
-
-
-UNDECIDED = object()
-
-
-class _SubgroupView:
-    """Work space for check_mixed over the index-2 subgroup."""
-
-    def __init__(self, G: Group, M: MixedQuadruple):
-        self.G = G
-        self.M = M
-
-    def generated_by_pair(self, cap) -> bool | None:
-        from .core import generated_subgroup
-
-        G, M = self.G, self.M
-        if M.subgroup.order > cap:
-            return None
-        closure = generated_subgroup(G, [M.a, M.c], cap=cap)
-        if len(closure) == M.subgroup.order and all(map(M.subgroup.contains, closure)):
-            self._elements = closure
-            return True
-        return False
-
-    def sigma_exact(self, class_cap):
-        """Sigma of (a, c) inside the subgroup: conjugation by a and c
-        reaches the whole subgroup conjugation action once the pair
-        generates."""
-        G, M = self.G, self.M
-        sub_ctx = _PairGeneratedContext(G, M.a, M.c, M.subgroup.order)
-        try:
-            return sigma_set(sub_ctx, M.a, M.c, strategy="exact",
-                             class_cap=class_cap).elements
-        except CapacityExceeded:
-            return None
-
-    def coset_square_hit(self, sigma, cap):
-        G, M = self.G, self.M
-        if M.subgroup.order > cap:
-            return UNDECIDED
-        elements = getattr(self, "_elements", None)
-        if elements is None:
-            elements = M.subgroup.elements
-        if elements is None:
-            return UNDECIDED
-        mul = G.mul
-        g = M.g
-        for gamma in elements:
-            x = mul(g, gamma)
-            if mul(x, x) in sigma:
-                return gamma
-        return None
-
-
-class _PairGeneratedContext(Group):
-    """The subgroup <a, c> viewed as a context (for sigma computations)."""
-
-    kind = "subgroup"
-
-    def __init__(self, parent: Group, a, c, order: int):
-        self.parent = parent
-        self._gens = [a, c]
-        self._order = order
-
-    @property
-    def identity(self):
-        return self.parent.identity
-
-    def mul(self, x, y):
-        return self.parent.mul(x, y)
-
-    def inv(self, x):
-        return self.parent.inv(x)
-
-    @property
-    def order(self):
-        return self._order
-
-    @property
-    def generators(self):
-        return list(self._gens)
-
-    def contains(self, x):
-        return self.parent.contains(x)
-
-    def descriptor(self) -> dict:
-        return {"kind": "subgroup", "parent": self.parent.descriptor()}
 
 
 def check_mixed_vz3(H: Group, a1, c1, a2, c2, perfect: bool = False,

@@ -86,6 +86,12 @@ def test_generated_subgroup_cap_is_explicit():
     S8 = SymmetricGroup(8)
     with pytest.raises(CapacityExceeded):
         generated_subgroup(S8, S8.generators, cap=1000)
+    # A cap equal to the closure size passes; one less raises with the label.
+    S5 = SymmetricGroup(5)
+    assert len(generated_subgroup(S5, S5.generators, cap=120)) == 120
+    with pytest.raises(CapacityExceeded) as exc:
+        generated_subgroup(S5, S5.generators, cap=119)
+    assert (exc.value.what, exc.value.cap) == ("subgroup closure", 119)
 
 
 def test_generates_examples():

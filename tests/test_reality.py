@@ -13,6 +13,7 @@ from beauville.gallery import (
 from beauville.matgroups import SL2Group, sl2_constants
 from beauville.perms import AlternatingGroup, SymmetricGroup, parse_cycles, pinv, pmul
 from beauville.reality import (
+    _au_orbit,
     apply_sigma,
     aut_generator_maps,
     backend_for,
@@ -92,6 +93,17 @@ def test_it_orbit_cap():
     c = parse_cycles("(1,2,3,4,5,6,7)", 7)
     with pytest.raises(CapacityExceeded):
         it_orbit(S7, (a, c), cap=10)
+    # A cap equal to the orbit size passes; one less raises with the label.
+    A = Abelian2(5)
+    v = UnmixedStructure(A, (1, 0), (0, 1), (1, 2), (3, 4))
+    for orbit_of, label, size in (
+        (lambda cap: it_orbit(A, (v.a1, v.c1), cap=cap), "pair orbit", 6),
+        (lambda cap: _au_orbit(A, v, cap=cap), "structure orbit", 11520),
+    ):
+        assert len(orbit_of(size)) == size
+        with pytest.raises(CapacityExceeded) as exc:
+            orbit_of(size - 1)
+        assert (exc.value.what, exc.value.cap) == (label, size - 1)
 
 
 def test_case_targets_match_sigma_algebra():

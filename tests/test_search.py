@@ -66,6 +66,19 @@ def test_enumerate_type_filter():
         from beauville.structures import pair_metrics
 
         assert pair_metrics(A, v.a1, v.c1).triple == (5, 5, 5)
+    # type1 constrains the first pair and type2 the second, whichever
+    # fingerprint each comes from: both orders find the same count.
+    G = PSL2Group(7)
+    order = {x: G.element_order(x) for x in G.elements()}
+
+    def triple(a, c):
+        return (order[a], order[c], order[G.mul(a, c)])
+
+    for type1, type2 in (((7, 7, 7), (4, 4, 3)), ((4, 4, 3), (7, 7, 7))):
+        res = enumerate_unmixed(G, SearchConstraints(type1=type1, type2=type2))
+        assert res.complete and len(res.structures) == 112896
+        assert all(triple(v.a1, v.c1) == type1 and triple(v.a2, v.c2) == type2
+                   for v in res.structures)
 
 
 def test_enumerate_up_to_orbit_requires_backend():

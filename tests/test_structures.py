@@ -270,7 +270,7 @@ def test_vz3_pass_implies_check_mixed_small_exhaustive():
 
     from beauville.constructions import Cyclic, dicyclic
 
-    checked = 0
+    examined = checked = 0
     for H in (dihedral(3), dicyclic(2), dicyclic(3), dihedral(6)):
         els = sorted(generated_subgroup(H, H.generators), key=repr)
         evens = [x for x in els if H.element_order(x) % 2 == 0]
@@ -279,6 +279,7 @@ def test_vz3_pass_implies_check_mixed_small_exhaustive():
             for a2, c2 in itertools.product(els, els):
                 if math.gcd(nu1, pair_metrics(H, a2, c2).nu) != 1:
                     continue
+                examined += 1
                 rep = check_mixed_vz3(H, a1, c1, a2, c2)
                 if not rep.passed:
                     continue
@@ -286,9 +287,12 @@ def test_vz3_pass_implies_check_mixed_small_exhaustive():
                 M = vz3_quadruple(H, a1, c1, a2, c2)
                 full = check_mixed(M.group, M)
                 assert full.passed, (H.descriptor(), a1, c1, a2, c2)
-    # The implication holds (vacuously here if no quadruple passes; the
-    # SL(2,11) sampling test exercises a genuine pass).
-    assert checked >= 0
+    # The implication is vacuous here: the first pair has even orders, so
+    # a coprime type product forces odd orders on the second, and the
+    # odd-order elements of these groups lie in a proper cyclic subgroup.
+    # All 644 candidates fail the inner criteria; the SL(2,11) sampling
+    # test exercises a genuine pass.
+    assert (examined, checked) == (644, 0)
 
 
 def test_check_mixed_full_on_small_product():
@@ -300,7 +304,48 @@ def test_check_mixed_full_on_small_product():
     c = ((0, 1), (1, 0), 2)
     M = MixedQuadruple(G, IndexTwoSubgroup.h2_of(G), a, c, G.coset_rep)
     rep = check_mixed(G, M)
-    assert rep.verdict in ("fail", "pass")
+    assert rep.verdict == "fail"
+    assert [(cond.id, cond.ok) for cond in rep.conditions] == [("generates-subgroup", False)]
+
+
+def test_check_mixed_sigma_conditions_against_brute_force():
+    """Seeded even-twist pairs on H4(SL(2,3)), order 2304, reach the
+    three sigma-based conditions.  The first few verdicts and witnesses
+    of each failing kind are checked against sigma_naive over the
+    closure of (a, c) and a direct scan of the coset g*<a, c>."""
+    H = SL2Group(3)
+    G = build_h4(H)
+    h_elems = sorted(H.elements(), key=repr)
+    g, e = G.coset_rep, G.identity
+    rng = random.Random(2304)
+    failed = {"generates-subgroup": 0, "nonabelian-subgroup": 0,
+              "coset-squares": 0, "conjugate-sigma-intersection": 0}
+    for _ in range(400):
+        a, c = ((rng.choice(h_elems), rng.choice(h_elems), rng.choice((0, 2)))
+                for _ in range(2))
+        M = MixedQuadruple(G, IndexTwoSubgroup.h2_of(G), a, c, g)
+        rep = check_mixed(G, M)
+        assert rep.verdict == "fail"
+        cid = rep.conditions[-1].id
+        failed[cid] += 1
+        if cid in ("generates-subgroup", "nonabelian-subgroup") or failed[cid] > 8:
+            continue
+        closure = generated_subgroup(G, [a, c])
+        sigma = sigma_naive(G, a, c, closure)
+        hits = {gamma for gamma in closure if G.power(G.mul(g, gamma), 2) in sigma}
+        gi = G.inv(g)
+        common = {x for x in sigma if G.mul(gi, G.mul(x, g)) in sigma} - {e}
+        if cid == "coset-squares":
+            assert rep.witness in hits
+        else:
+            assert not hits and rep.witness == min(common, key=repr)
+        # Past the identity and the centre every class of the subgroup
+        # has more than 10 elements, so both sigma conditions go undecided.
+        capped = check_mixed(G, M, class_cap=10)
+        assert capped.verdict == "undecided"
+        assert [cond.ok for cond in capped.conditions[-2:]] == [None, None]
+    assert failed == {"generates-subgroup": 302, "nonabelian-subgroup": 0,
+                      "coset-squares": 43, "conjugate-sigma-intersection": 55}
 
 
 def test_genus_inconsistency_guard():
