@@ -380,6 +380,10 @@ def sl2_pair_q1q2(p: int, q1: int, q2: int, case: str) -> PairWithWitness:
     else:
         raise PreconditionError(f"unknown case {case!r}")
     for g in _iter_sl2(p):
+        if case == "split" and 0 in g:
+            # g carries an eigenline of y0 onto an axis, an eigenline of
+            # the diagonal x: <x, y> is then Borel and never all of G.
+            continue
         y = mmul(mmul(g, y0, p), minv(g, p), p)
         z = mmul(x, y, p)
         if mat_order(z, p) == q1 * q2 and generates(G, x, y):

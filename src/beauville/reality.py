@@ -79,19 +79,24 @@ def iota(x):
     raise PreconditionError(f"iota undefined for {type(x).__name__}")
 
 
-def _pair_images(G: Group, gens: list, pair: tuple) -> list:
-    """The five nontrivial transformations of a pair and its conjugates
-    by each generator in ``gens``."""
+def _conjugates(mul, gens: list, pair: tuple) -> list:
+    """Conjugates g a g^-1, g c g^-1 of a pair by each (g, g^-1) in ``gens``."""
     a, c = pair
-    images = [apply_sigma(G, i, pair) for i in range(1, 6)]
-    images.extend((conjugate(G, a, g), conjugate(G, c, g)) for g in gens)
-    return images
+    return [(mul(g, mul(a, gi)), mul(g, mul(c, gi))) for g, gi in gens]
 
 
 def it_orbit(G: Group, pair: tuple, cap: int = 10**6) -> frozenset:
     """Orbit of the pair under inner automorphisms and the six
-    transformations."""
-    return frozenset(orbit([pair], partial(_pair_images, G, G.generators), cap, "pair orbit"))
+    transformations.
+
+    The six transformations are words in a and c, so they commute with
+    conjugation and compose to one another up to an inner automorphism:
+    the orbit is the inner-automorphism orbit of the six images of the
+    pair, and the search takes only conjugation steps from them.
+    """
+    gens = [(g, G.inv(g)) for g in G.generators]
+    seeds = [apply_sigma(G, i, pair) for i in range(6)]
+    return frozenset(orbit(seeds, partial(_conjugates, G.mul, gens), cap, "pair orbit"))
 
 
 # -- case patterns ---------------------------------------------------------
@@ -386,8 +391,11 @@ def reality_unmixed(G: Group, v: UnmixedStructure,
     When the two pairs have distinct order multisets, the pair-swap
     operation is excluded and the verdict reduces to per-pair case
     tables joined by outer-label compatibility.  Equal multisets fall
-    back to an orbit search (small groups) for the conjugate question;
-    whatever the case tables prove positively still stands.
+    back to an orbit search for the conjugate question: is the key of
+    iota(v) in the key orbit of v (``StructureKeys``)?  ``orbit_cap``
+    bounds each side orbit and the key orbit, not the 4-tuples of the
+    orbit; past it the question stays undecided.  Whatever the case
+    tables prove positively still stands.
     """
     if backend is None:
         backend = backend_for(G)
@@ -420,9 +428,9 @@ def reality_unmixed(G: Group, v: UnmixedStructure,
         # The swap route could still produce an equivalence; try a full
         # orbit search when affordable, otherwise leave undecided.
         try:
-            orbit = _au_orbit(G, v, cap=orbit_cap)
-            key = _structure_key(v.inverted())
-            biholo = key in orbit
+            keys = StructureKeys(G, orbit_cap)
+            orbit_keys = keys.orbit(v)
+            biholo = keys.key(v.inverted()) in orbit_keys
             decided_by = "orbit-search"
             if biholo is False:
                 real = False
@@ -447,38 +455,33 @@ def reality_unmixed(G: Group, v: UnmixedStructure,
     return verdict
 
 
-def _structure_key(v: UnmixedStructure) -> tuple:
-    return (v.a1, v.c1, v.a2, v.c2)
-
-
 def aut_generator_maps(G: Group) -> list:
     """Maps element -> element generating Aut(G), for orbit searches.
 
     Supported backends only; raises otherwise (orbit reductions must
     not silently degrade to an incomplete automorphism set).
     """
-    maps = []
-    for g in G.generators:
-        maps.append(lambda x, g=g: conjugate(G, x, g))
+    outer = _outer_generator_maps(G)
+    return [lambda x, g=g: conjugate(G, x, g) for g in G.generators] + outer
+
+
+def _outer_generator_maps(G: Group) -> list:
+    """Maps that generate Aut(G) together with the inner automorphisms."""
     if isinstance(G, SymmetricGroup):
         if G.n == 6:
             raise PreconditionError("degree-6 symmetric group unsupported")
-        return maps
+        return []
     if isinstance(G, AlternatingGroup):
         if G.n == 6:
             raise PreconditionError("degree-6 alternating group unsupported")
         swap = tuple([1, 0] + list(range(2, G.n)))
-        maps.append(lambda x, s=swap: pmul(s, pmul(x, pinv(s))))
-        return maps
+        return [lambda x, s=swap: pmul(s, pmul(x, pinv(s)))]
     if isinstance(G, SL2Group):
         w = (0, 1, 1, 0)
-        maps.append(lambda x, w=w: G.mul(w, G.mul(x, (0, 1, 1, 0))))
-        return maps
+        return [lambda x, w=w: G.mul(w, G.mul(x, (0, 1, 1, 0)))]
     if isinstance(G, PSL2Group):
         w = (0, 1, 1, 0)
-        maps.append(lambda x, w=w: psl_canon(
-            G.mul(w, G.mul(x, w)), G.p))
-        return maps
+        return [lambda x, w=w: psl_canon(G.mul(w, G.mul(x, w)), G.p)]
     if G.kind == "ab2":
         from .matgroups import is_prime
 
@@ -488,12 +491,10 @@ def aut_generator_maps(G: Group) -> list:
                 "automorphism generators implemented for prime moduli only")
         prim = _primitive_root(n)
         mats = [(1, 1, 0, 1), (1, 0, 1, 1), (prim, 0, 0, 1)]
-        for m in mats:
-            maps.append(lambda x, m=m, n=n: (
-                (m[0] * x[0] + m[1] * x[1]) % n,
-                (m[2] * x[0] + m[3] * x[1]) % n,
-            ))
-        return maps
+        return [lambda x, m=m, n=n: (
+            (m[0] * x[0] + m[1] * x[1]) % n,
+            (m[2] * x[0] + m[3] * x[1]) % n,
+        ) for m in mats]
     raise PreconditionError(f"no automorphism backend for context kind {G.kind!r}")
 
 
@@ -507,21 +508,48 @@ def _primitive_root(p: int) -> int:
     raise InconsistencyError(f"no primitive root mod {p}")
 
 
-def _structure_images(G: Group, gens: list, auts: list, key: tuple) -> list:
-    a1, c1, a2, c2 = key
-    images = [(x, y, a2, c2) for x, y in _pair_images(G, gens, (a1, c1))]
-    images += [(a1, c1, x, y) for x, y in _pair_images(G, gens, (a2, c2))]
-    images += [(f(a1), f(c1), f(a2), f(c2)) for f in auts]
-    images.append((a2, c2, a1, c1))
-    return images
+class StructureKeys:
+    """Orbits of unmixed structures under the equivalence group, taken
+    over keys.
 
+    The group acts on v = (P1, P2) by the six transformations and an
+    inner twist on each side independently, by one automorphism phi on
+    both sides, and by the swap; phi S(P) = S(phi P) for the side orbit
+    S = ``it_orbit``.  So the orbit of v is the union of the products
+    S(Q1) x S(Q2) over the keys (min S(Q1), min S(Q2)) by repr in the
+    orbit of v's key under the outer automorphism generators and the
+    swap (inner automorphisms fix every key).  Each side orbit computed
+    fills the memo of side minima.  ``cap`` bounds every side orbit
+    ("pair orbit") and every key orbit ("structure orbit").
+    """
 
-def _au_orbit(G: Group, v: UnmixedStructure, cap: int = 10**6) -> set:
-    """Full orbit of a structure under the equivalence group (per-side
-    pair transformations and inner twists, diagonal automorphisms, and
-    the pair swap)."""
-    images = partial(_structure_images, G, G.generators, aut_generator_maps(G))
-    return orbit([_structure_key(v)], images, cap, "structure orbit")
+    def __init__(self, G: Group, cap: int = 10**6):
+        self._G = G
+        self._cap = cap
+        self._outer = _outer_generator_maps(G)
+        self._side_min: dict = {}
+
+    def side(self, pair: tuple) -> tuple:
+        m = self._side_min.get(pair)
+        if m is None:
+            pairs = it_orbit(self._G, pair, self._cap)
+            m = min(pairs, key=repr)
+            self._side_min.update(dict.fromkeys(pairs, m))
+        return m
+
+    def key(self, v: UnmixedStructure) -> tuple:
+        return (self.side((v.a1, v.c1)), self.side((v.a2, v.c2)))
+
+    def _images(self, key: tuple) -> list:
+        (a1, c1), (a2, c2) = key
+        side = self.side
+        images = [(side((f(a1), f(c1))), side((f(a2), f(c2)))) for f in self._outer]
+        images.append((key[1], key[0]))
+        return images
+
+    def orbit(self, v: UnmixedStructure) -> set:
+        """The keys of the orbit of v."""
+        return orbit([self.key(v)], self._images, self._cap, "structure orbit")
 
 
 # -- mixed reality ------------------------------------------------------------

@@ -30,7 +30,7 @@ from .constructions import (
     format_descriptor,
     group_from_descriptor,
 )
-from .reality import _au_orbit, aut_generator_maps, reality_unmixed
+from .reality import StructureKeys, aut_generator_maps, reality_unmixed
 from .structures import UnmixedStructure, check_unmixed
 
 DEFAULT_ENUM_CAP = 2500
@@ -291,19 +291,31 @@ def enumerate_unmixed(G: Group, constraints: SearchConstraints | None = None,
 
 def orbit_representatives(G: Group, structures: list) -> list:
     """Reduce a set of structures modulo the full equivalence action,
-    keeping the canonical minimum of each orbit."""
-    keys = {(v.a1, v.c1, v.a2, v.c2): v for v in structures}
-    seen: set = set()
-    reps = []
-    for key in sorted(keys, key=repr):
-        if key in seen:
-            continue
-        v = keys[key]
-        orbit = _au_orbit(G, v)
-        seen |= orbit
-        rep_key = min(orbit, key=repr)
-        reps.append(keys.get(rep_key, v))
-    return reps
+    keeping the canonical minimum of each orbit: its least 4-tuple by
+    repr, or the least given member when that minimum is not given.
+    Orbits are listed by their least given member.
+
+    Orbits are taken over keys (``reality.StructureKeys``), never over
+    4-tuples.  Element reprs are self-delimiting, so the least 4-tuple
+    of an orbit is the least concatenation of the two sides of a key.
+    """
+    keys = StructureKeys(G)
+    given = {(v.a1, v.c1, v.a2, v.c2): v for v in structures}
+    least_of: dict = {}  # key -> least 4-tuple of its orbit
+    first: dict = {}  # least 4-tuple of an orbit -> least given member
+    for t, v in given.items():
+        k = keys.key(v)
+        least = least_of.get(k)
+        if least is None:
+            orbit = keys.orbit(v)
+            least = min((s1 + s2 for s1, s2 in orbit), key=repr)
+            least_of.update(dict.fromkeys(orbit, least))
+        if least in given:
+            first[least] = least
+        elif least not in first or repr(t) < repr(first[least]):
+            first[least] = t
+    order = sorted(first.items(), key=lambda item: repr(item[1]))
+    return [given.get(least, given[t]) for least, t in order]
 
 
 # -- abelian counting ---------------------------------------------------------

@@ -167,10 +167,12 @@ def test_sl2_555_both_cosets():
         sl2_pair_555(7, "sl")  # 7 = 2 mod 5
 
 
-@pytest.mark.slow
 def test_sl2_q1q2_split():
     pw = sl2_pair_q1q2(71, 5, 7, "split")
     assert pair_metrics(pw.group, pw.a, pw.c).triple == (5, 7, 35)
+    # The first hit of the full conjugator sweep: skipping conjugators
+    # with a zero entry (Borel pairs) leaves it unchanged.
+    assert (pw.a, pw.c) == ((5, 0, 0, 57), (43, 12, 44, 9))
 
 
 def test_sl2_q1q2_rejects():

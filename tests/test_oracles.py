@@ -1,26 +1,38 @@
-"""Differential oracles for the exact generation certificates and the
-catalogue scan.
+"""Differential oracles for the exact generation certificates, the
+catalogue scan and the equivalence orbits.
 
 The known-order stabilizer chain (S_n, A_n) and orbit-stabilizer on
 vectors (SL(2,p), PSL(2,p)) are checked against the deterministic chain
 ``bsgs_order`` and against closure, which know nothing of either.  The
 unmixed catalogue scan is checked against a brute force that uses
-neither the indexed tables nor fingerprint buckets.
+neither the indexed tables nor fingerprint buckets.  Pair orbits and
+keyed structure orbits are checked against breadth-first searches that
+apply every generator of the equivalence group at every point.
 """
 
 import random
+from functools import partial
 
 import pytest
 
 from beauville import core, gallery, perms, search
 from beauville.constructions import (
     Abelian2,
+    build_h4,
     catalogue,
     dihedral,
     format_descriptor,
     group_from_descriptor,
+    parse_descriptor,
 )
-from beauville.core import conjugacy_class, generated_subgroup, generates
+from beauville.core import (
+    CapacityExceeded,
+    conjugacy_class,
+    conjugate,
+    generated_subgroup,
+    generates,
+    orbit,
+)
 from beauville.matgroups import PSL2Group, SL2Group, diag_mat, sl2_constants
 from beauville.perms import (
     AlternatingGroup,
@@ -29,7 +41,17 @@ from beauville.perms import (
     parity,
     parse_cycles,
 )
-from beauville.structures import UnmixedStructure, check_unmixed
+from beauville.reality import (
+    AutBackend,
+    CaseSolution,
+    StructureKeys,
+    apply_sigma,
+    aut_generator_maps,
+    it_orbit,
+    reality_unmixed,
+)
+from beauville.search import enumerate_unmixed, orbit_representatives
+from beauville.structures import UnmixedStructure, check_unmixed, pair_metrics
 
 
 def _class_reps(G, elements):
@@ -263,3 +285,160 @@ def test_unmixed_scan_against_brute_force(monkeypatch):
         G = group_from_descriptor(desc)
         name = format_descriptor(desc)
         assert (name in hits) == _has_structure_by_brute_force(G), name
+
+
+# -- equivalence orbits -------------------------------------------------------
+# The searches that it_orbit and StructureKeys replaced: at every point,
+# the five nontrivial transformations and the generator conjugations of
+# a pair; for structures, those on each side, every automorphism
+# generator on both sides, and the swap, over 4-tuples.
+
+
+def _pair_images(G, gens, pair):
+    """The five nontrivial transformations of a pair and its conjugates
+    by each generator in ``gens``."""
+    a, c = pair
+    images = [apply_sigma(G, i, pair) for i in range(1, 6)]
+    images.extend((conjugate(G, a, g), conjugate(G, c, g)) for g in gens)
+    return images
+
+
+def _it_orbit(G, pair, cap=10**6):
+    return frozenset(orbit([pair], partial(_pair_images, G, G.generators), cap, "pair orbit"))
+
+
+def _structure_key(v):
+    return (v.a1, v.c1, v.a2, v.c2)
+
+
+def _structure_images(G, gens, auts, key):
+    a1, c1, a2, c2 = key
+    images = [(x, y, a2, c2) for x, y in _pair_images(G, gens, (a1, c1))]
+    images += [(a1, c1, x, y) for x, y in _pair_images(G, gens, (a2, c2))]
+    images += [(f(a1), f(c1), f(a2), f(c2)) for f in auts]
+    images.append((a2, c2, a1, c1))
+    return images
+
+
+def _au_orbit(G, v, cap=10**6):
+    """Full orbit of a structure under the equivalence group (per-side
+    pair transformations and inner twists, diagonal automorphisms, and
+    the pair swap)."""
+    images = partial(_structure_images, G, G.generators, aut_generator_maps(G))
+    return orbit([_structure_key(v)], images, cap, "structure orbit")
+
+
+def _orbit_representatives(G, structures):
+    keys = {_structure_key(v): v for v in structures}
+    seen = set()
+    reps = []
+    for key in sorted(keys, key=repr):
+        if key in seen:
+            continue
+        v = keys[key]
+        full = _au_orbit(G, v)
+        seen |= full
+        reps.append(keys.get(min(full, key=repr), v))
+    return reps
+
+
+_ORBIT_FLEET = ["sym:4", "sym:5", "alt:5", "sl2:5", "psl2:7", "ab2:5", "ab2:7",
+                "dih:8", "dic:6", "h4:sl2:3"]
+
+
+def _fleet_group(desc):
+    if desc == "h4:sl2:3":
+        return build_h4(SL2Group(3))
+    return group_from_descriptor(parse_descriptor(desc))
+
+
+@pytest.mark.parametrize("desc", _ORBIT_FLEET)
+def test_it_orbit_against_brute_force(desc):
+    G = _fleet_group(desc)
+    elements = sorted(generated_subgroup(G, G.generators), key=repr)
+    rng = random.Random(desc)
+    generating = 0
+    count = 4 if desc == "h4:sl2:3" else 12
+    for _ in range(count):
+        pair = (rng.choice(elements), rng.choice(elements))
+        want = _it_orbit(G, pair)
+        assert it_orbit(G, pair) == want, pair
+        generating += _by_closure(G, *pair)
+    # The seeded pairs include non-generating ones; on the larger groups
+    # also generating ones.
+    assert generating < count
+    if G.order >= 24:
+        assert generating > 0
+
+
+def test_it_orbit_cap_boundary():
+    A = Abelian2(7)
+    S5 = SymmetricGroup(5)
+    for G, pair in ((A, ((1, 0), (0, 1))), (S5, tuple(S5.generators)),
+                    (SL2Group(5), (sl2_constants(5)["B"], sl2_constants(5)["S"]))):
+        size = len(_it_orbit(G, pair))
+        assert it_orbit(G, pair, cap=size) == _it_orbit(G, pair)
+        with pytest.raises(CapacityExceeded) as exc:
+            it_orbit(G, pair, cap=size - 1)
+        assert (exc.value.what, exc.value.cap) == ("pair orbit", size - 1)
+    # The generating S6 pair whose orbit of 4320 outgrows a cap of 500.
+    S6 = SymmetricGroup(6)
+    pair = (parse_cycles("(1,6,2,3,5,4)", 6), parse_cycles("(1,5)(2,3,4)", 6))
+    assert len(_it_orbit(S6, pair)) == 4320
+    with pytest.raises(CapacityExceeded) as exc:
+        it_orbit(S6, pair, cap=500)
+    assert (exc.value.what, exc.value.cap) == ("pair orbit", 500)
+
+
+def _expand(G, orbit_keys):
+    """The 4-tuples of the products S(Q1) x S(Q2) over the keys."""
+    return {x + y for k1, k2 in orbit_keys
+            for x in it_orbit(G, k1) for y in it_orbit(G, k2)}
+
+
+def test_orbit_representatives_ab2_5_against_brute_force():
+    A = Abelian2(5)
+    structures = enumerate_unmixed(A).structures
+    got = orbit_representatives(A, structures)
+    want = _orbit_representatives(A, structures)
+    assert len(want) == 1
+    assert [_structure_key(v) for v in got] == [_structure_key(v) for v in want]
+    # Seeded subsets, which need not hold the canonical minimum.
+    rng = random.Random(25)
+    for size in (1, 3, 40):
+        sample = rng.sample(structures, size)
+        got = orbit_representatives(A, sample)
+        assert [_structure_key(v) for v in got] == \
+            [_structure_key(v) for v in _orbit_representatives(A, sample)]
+
+
+def _no_solutions(G, a, c, u, v):
+    """A complete backend's solver that solves no case: the case tables
+    never prove biholomorphism, so a swappable structure reaches the
+    orbit search."""
+    return CaseSolution(frozenset(), {}, True)
+
+
+@pytest.mark.parametrize("n,count", [(5, 4), (7, 1)])
+def test_structure_keys_against_brute_force(n, count):
+    A = Abelian2(n)
+    vectors = [(x, y) for x in range(n) for y in range(n)]
+    rng = random.Random(n)
+    structures = []
+    while len(structures) < count:
+        v = UnmixedStructure(A, *(rng.choice(vectors) for _ in range(4)))
+        if check_unmixed(A, v).passed:
+            structures.append(v)
+    backend = AutBackend("none", True, _no_solutions)
+    for v in structures:
+        full = _au_orbit(A, v)
+        keys = StructureKeys(A)
+        orbit_keys = keys.orbit(v)
+        assert _expand(A, orbit_keys) == full
+        inverted = v.inverted()
+        assert (keys.key(inverted) in orbit_keys) == (_structure_key(inverted) in full)
+        m1, m2 = (pair_metrics(A, v.a1, v.c1), pair_metrics(A, v.a2, v.c2))
+        if m1.order_multiset() == m2.order_multiset():
+            verdict = reality_unmixed(A, v, backend)
+            assert verdict.decided_by == "orbit-search"
+            assert verdict.biholo_conjugate == (_structure_key(inverted) in full)

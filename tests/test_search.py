@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from beauville import search
 from beauville.constructions import Abelian2, dihedral
 from beauville.core import PreconditionError
 from beauville.matgroups import PSL2Group, SL2Group
@@ -17,6 +20,7 @@ from beauville.search import (
     wallpaper_scan,
 )
 from beauville.structures import check_unmixed
+from beauville.verify import _ab2_classes
 
 
 def test_enumerate_ab2_5_full_count():
@@ -34,6 +38,49 @@ def test_enumerate_ab2_5_orbit_classes():
     # explicit equivalence maps in the abelian-orbit-classes criterion.
     res = enumerate_unmixed(Abelian2(5), SearchConstraints(up_to_orbit=True))
     assert len(res.structures) == 1
+
+
+def test_count_abelian_7_orbit_classes(monkeypatch):
+    # Seven classes, checked against the coordinate sweep of all 145152
+    # explicit equivalence maps: its classes partition the structures.
+    calls = []
+    reduce = search.orbit_representatives
+
+    def recording(G, structures):
+        reps = reduce(G, structures)
+        calls.append((structures, reps))
+        return reps
+
+    monkeypatch.setattr(search, "orbit_representatives", recording)
+    assert count_abelian(7, orbits=True).orbits == 7
+    [(found, reps)] = calls
+    structures = {_tuple(v) for v in found}
+    maps, classes = _ab2_classes(7, structures, swap=True)
+    assert maps == 145152
+    assert sum(map(len, classes)) == len(structures) == 725760
+    assert set().union(*classes) == structures
+    assert sorted(map(len, classes)) == [24192, 48384, 72576] + [145152] * 4
+    least = [min(cls, key=repr) for cls in classes]
+
+    def expected(given):
+        # Per class met: its least member when given, else the least
+        # given member, which is then also the one it is listed by.
+        out = []
+        for cls, m in zip(classes, least):
+            met = cls & given
+            if met:
+                first = m if m in given else min(met, key=repr)
+                out.append((repr(first), first))
+        return [t for _, t in sorted(out)]
+
+    assert [_tuple(v) for v in reps] == expected(structures)
+    sample = random.Random(7).sample(found, 40)
+    got = reduce(Abelian2(7), sample)
+    assert [_tuple(v) for v in got] == expected({_tuple(v) for v in sample})
+
+
+def _tuple(v):
+    return (v.a1, v.c1, v.a2, v.c2)
 
 
 def test_orbit_reduction_idempotent():
