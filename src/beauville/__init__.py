@@ -63,7 +63,6 @@ from .structures import (
     IndexTwoSubgroup,
     MixedQuadruple,
     PairMetrics,
-    SigmaSet,
     UnmixedStructure,
     check_mixed,
     check_mixed_vz3,

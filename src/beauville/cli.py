@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a2")
     p.add_argument("--c2")
     p.add_argument("--strategy", default="auto",
-                   choices=["auto", "coprime", "cycle-type", "exact"])
+                   choices=["auto", "coprime", "exact"])
     p.set_defaults(func=cmd_check_unmixed)
 
     p = sub.add_parser("check-mixed", help="verify a mixed structure")

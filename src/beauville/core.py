@@ -48,8 +48,11 @@ class Group:
     Subclasses must set ``kind`` and implement ``identity``, ``mul``,
     ``inv``, ``order``, ``generators`` and ``contains``.  A backend with
     its own exact test of "<a, c> = G" implements ``generates_pair`` and
-    names it in ``generation_certificate``.  Contexts are immutable after
-    construction; all operations are pure.
+    names it in ``generation_certificate``.  A backend with a known
+    conjugacy rule implements ``class_label(x)``: a hashable label, equal
+    for two elements exactly when they are conjugate; sigma-set
+    disjointness then compares labels instead of searching classes.
+    Contexts are immutable after construction; all operations are pure.
     """
 
     kind: str = "abstract"

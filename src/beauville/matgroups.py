@@ -356,6 +356,26 @@ def generates_sl2(p: int, a: Mat2, c: Mat2, projective: bool = False) -> bool:
     return len(trans) == orbit_size and stabilizer_nontrivial
 
 
+# -- conjugacy classes --------------------------------------------------------
+
+
+def sl2_class_label(p: int, x: Mat2):
+    """Conjugate in SL(2,p) iff equal labels (Dornhoff, Part A, section 38).
+
+    +-I label themselves, and an element of trace t != +-2 is labelled
+    by t.  Each trace s = +-2 has two more classes: writing
+    x - sI = [[a, b], [c, -a]], they are told apart by the square class
+    of b, or of -c when b = 0.
+    """
+    t = mtrace(x, p)
+    if t not in (2, p - 2):
+        return t
+    if x in (mat_id(p), mneg(mat_id(p), p)):
+        return x
+    b, c = x[1], x[2]
+    return t, is_square(p, b if b else -c)
+
+
 # -- group contexts --------------------------------------------------------
 
 
@@ -400,6 +420,9 @@ class SL2Group(Group):
 
     def generates_pair(self, a, c) -> bool:
         return generates_sl2(self.p, a, c)
+
+    def class_label(self, x):
+        return sl2_class_label(self.p, x)
 
     def descriptor(self) -> dict:
         return {"kind": "sl2", "p": self.p}
@@ -448,6 +471,10 @@ class PSL2Group(Group):
 
     def generates_pair(self, a, c) -> bool:
         return generates_sl2(self.p, a, c, projective=True)
+
+    def class_label(self, x) -> frozenset:
+        # x and -x are one element here: conjugate iff x ~ +-y in SL(2,p).
+        return frozenset((sl2_class_label(self.p, x), sl2_class_label(self.p, mneg(x, self.p))))
 
     def descriptor(self) -> dict:
         return {"kind": "psl2", "p": self.p}

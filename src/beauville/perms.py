@@ -546,6 +546,10 @@ class SymmetricGroup(Group):
             return False
         return generates_known_order([a, c], self.order)
 
+    def class_label(self, x) -> tuple:
+        """Conjugate in S_n iff of equal cycle type."""
+        return cycle_type(x)
+
     def descriptor(self) -> dict:
         return {"kind": "sym", "n": self.n}
 
@@ -587,6 +591,21 @@ class AlternatingGroup(Group):
 
     def generates_pair(self, a, c) -> bool:
         return generates_known_order([a, c], self.order)
+
+    def class_label(self, x) -> tuple:
+        """Conjugate in A_n iff equal labels (James-Kerber, section 1.2).
+
+        An S_n class splits in A_n exactly when its parts, 1-cycles
+        included, are distinct and odd; the halves differ in the parity
+        of the conjugator to x from the element of that type whose
+        cycles run over consecutive points.  That conjugator lists the
+        cycles of x by length.
+        """
+        cycles = sorted(cycles_of(x, include_fixed=True), key=len)
+        parts = tuple(len(c) for c in cycles)
+        if len(set(parts)) < len(parts) or not all(k % 2 for k in parts):
+            return parts
+        return parts, parity(tuple(point for c in cycles for point in c))
 
     def descriptor(self) -> dict:
         return {"kind": "alt", "n": self.n}

@@ -24,6 +24,7 @@ from .core import (
     InconsistencyError,
     PreconditionError,
     conjugate,
+    generated_subgroup,
     orbit,
 )
 from .matgroups import (
@@ -151,26 +152,9 @@ class AutBackend:
         return self._solver(G, a, c, u, v)
 
 
-def _perm_case_solutions(a, c, u, v):
-    """Solutions in the full symmetric group; falls back to brute force
-    over all of it when the centralizer is over cap and the degree is
-    small enough to sweep."""
-    try:
-        return conjugator_search(a, u, c, v, ambient="sym")
-    except CapacityExceeded:
-        n = len(a)
-        if n > 9:
-            raise
-        import itertools
-
-        out = [g for g in itertools.permutations(range(n))
-               if pmul(g, pmul(a, pinv(g))) == u and pmul(g, pmul(c, pinv(g))) == v]
-        return out
-
-
 def _sym_solver(G, a, c, u, v) -> CaseSolution:
     try:
-        sols = _perm_case_solutions(a, c, u, v)
+        sols = conjugator_search(a, u, c, v, ambient="sym")
     except DegeneratePair:
         return CaseSolution(frozenset(["inner"]), {"inner": G.identity}, True)
     except CapacityExceeded:
@@ -182,7 +166,7 @@ def _sym_solver(G, a, c, u, v) -> CaseSolution:
 
 def _alt_solver(G, a, c, u, v) -> CaseSolution:
     try:
-        sols = _perm_case_solutions(a, c, u, v)
+        sols = conjugator_search(a, u, c, v, ambient="sym")
     except DegeneratePair:
         return CaseSolution(frozenset(["even", "odd"]),
                             {"even": G.identity}, True)
@@ -240,22 +224,21 @@ def _ab2_solver(G, a, c, u, v) -> CaseSolution:
     return CaseSolution(frozenset(["gl2"]), {"gl2": (m00, m01, m10, m11)}, True)
 
 
-def _inner_solver_factory(cap: int):
-    def _solver(G, a, c, u, v) -> CaseSolution:
-        from .core import generated_subgroup
+# Largest group the inner-only backend sweeps for a conjugator.
+_INNER_CAP = 20000
 
-        if G.order > cap:
-            return CaseSolution(frozenset(), {}, False)
-        for g in sorted(generated_subgroup(G, G.generators, cap=cap), key=repr):
-            if conjugate(G, a, g) == u and conjugate(G, c, g) == v:
-                return CaseSolution(frozenset(["inner"]), {"inner": g}, False)
-        # Exhausting inner automorphisms proves nothing about outer ones.
+
+def _inner_solver(G, a, c, u, v) -> CaseSolution:
+    if G.order > _INNER_CAP:
         return CaseSolution(frozenset(), {}, False)
+    for g in sorted(generated_subgroup(G, G.generators, cap=_INNER_CAP), key=repr):
+        if conjugate(G, a, g) == u and conjugate(G, c, g) == v:
+            return CaseSolution(frozenset(["inner"]), {"inner": g}, False)
+    # Exhausting inner automorphisms proves nothing about outer ones.
+    return CaseSolution(frozenset(), {}, False)
 
-    return _solver
 
-
-def backend_for(G: Group, inner_cap: int = 20000) -> AutBackend:
+def backend_for(G: Group) -> AutBackend:
     if isinstance(G, SymmetricGroup):
         if G.n == 6:
             raise PreconditionError("degree-6 symmetric group has an exceptional outer automorphism")
@@ -270,7 +253,7 @@ def backend_for(G: Group, inner_cap: int = 20000) -> AutBackend:
         return AutBackend("slpm-conjugation", True, _psl2_solver)
     if G.kind == "ab2":
         return AutBackend("gl2-action", True, _ab2_solver)
-    return AutBackend("inner-only", False, _inner_solver_factory(inner_cap))
+    return AutBackend("inner-only", False, _inner_solver)
 
 
 # -- case tables -------------------------------------------------------------

@@ -3,7 +3,8 @@
 Type triples, the hyperbolicity measure, sigma sets (the union of
 conjugates of the cyclic groups generated by a, c and ac), genus of the
 associated covering curve, and the unmixed/mixed verdict machinery with
-its strategy ladder (order coprimality, cycle types, exact sets).
+its strategy ladder (order coprimality, then an exact test: class labels
+where the backend has them, conjugacy-class sets elsewhere).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .core import (
     generates,
     orbit,
 )
-from .perms import cycle_type
 
 
 # -- pair metrics -----------------------------------------------------------
@@ -85,56 +85,26 @@ def genus(G: Group, a, c) -> int:
 # -- sigma sets -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SigmaSet:
-    """Union of conjugates of <a>, <c>, <ac> in one of two representations.
-
-    exact: the element set itself.  cycle-type: the set of cycle types
-    of the powers (exact for a full symmetric ambient group, a
-    sufficient-only disjointness criterion for alternating ones).
-    """
-
-    strategy: str
-    elements: frozenset | None = None
-    types: frozenset | None = None
-    types_exact: bool = False
-
-    def size(self) -> int | None:
-        return len(self.elements) if self.elements is not None else None
-
-
-def _power_closure(G: Group, x) -> list:
-    """All powers x^i, i >= 0 (the cyclic subgroup generated by x)."""
+def _powers(G: Group, a, c) -> list:
+    """The powers of a, c and ac; their conjugacy classes make up the sigma set."""
+    G.check_element(a)
+    G.check_element(c)
     out = [G.identity]
-    acc = x
-    while acc != G.identity:
-        out.append(acc)
-        acc = G.mul(acc, x)
+    for x in (a, c, G.mul(a, c)):
+        acc = x
+        while acc != G.identity:
+            out.append(acc)
+            acc = G.mul(acc, x)
     return out
 
 
-def sigma_set(G: Group, a, c, strategy: str = "exact",
-              class_cap: int = DEFAULT_CLASS_CAP) -> SigmaSet:
-    G.check_element(a)
-    G.check_element(c)
-    seeds = [a, c, G.mul(a, c)]
-    if strategy == "exact":
-        elements: set = set()
-        for x in seeds:
-            for y in _power_closure(G, x):
-                if y not in elements:
-                    elements |= conjugacy_class(G, y, cap=class_cap)
-        return SigmaSet(strategy="exact", elements=frozenset(elements))
-    if strategy == "cycle-type":
-        if G.kind not in ("sym", "alt"):
-            raise PreconditionError("cycle-type strategy needs a permutation backend")
-        types = set()
-        for x in seeds:
-            for y in _power_closure(G, x):
-                types.add(cycle_type(y))
-        return SigmaSet(strategy="cycle-type", types=frozenset(types),
-                        types_exact=(G.kind == "sym"))
-    raise PreconditionError(f"unknown sigma strategy {strategy!r}")
+def sigma_set(G: Group, a, c, class_cap: int = DEFAULT_CLASS_CAP) -> frozenset:
+    """The sigma set of (a, c) as elements, by conjugacy-class search."""
+    elements: set = set()
+    for y in _powers(G, a, c):
+        if y not in elements:
+            elements |= conjugacy_class(G, y, cap=class_cap)
+    return frozenset(elements)
 
 
 def sigma_naive(G: Group, a, c, elements) -> frozenset:
@@ -257,10 +227,20 @@ def _settle(report: CheckReport):
 
 
 def _intersection_exact(G: Group, p1, p2, class_cap):
-    s1 = sigma_set(G, *p1, strategy="exact", class_cap=class_cap)
-    s2 = sigma_set(G, *p2, strategy="exact", class_cap=class_cap)
-    common = s1.elements & s2.elements
-    extra = common - {G.identity}
+    """(disjoint, witness) for the sigma sets of two pairs.
+
+    With ``class_label`` the sets meet outside the identity iff a power
+    of the first pair carries the label of a nontrivial power of the
+    second; the least such power by ``repr`` is the witness.  Other
+    backends intersect the class-search sets, capped at ``class_cap``.
+    """
+    label = getattr(G, "class_label", None)
+    if label is None:
+        common = sigma_set(G, *p1, class_cap) & sigma_set(G, *p2, class_cap)
+        extra = common - {G.identity}
+    else:
+        theirs = {label(y) for y in _powers(G, *p2)} - {label(G.identity)}
+        extra = [y for y in _powers(G, *p1) if label(y) in theirs]
     if not extra:
         return True, None
     return False, min(extra, key=repr)
@@ -270,36 +250,23 @@ def try_sigma_disjoint(G: Group, p1, p2, strategy: str = "auto",
                        class_cap: int = DEFAULT_CLASS_CAP):
     """(verdict, strategy, witness): verdict None means inconclusive.
 
-    The ladder runs cheapest-first: coprimality of the nu values is a
-    sufficient criterion; cycle-type disjointness is exact for full
-    symmetric groups and sufficient for alternating ones; the exact
-    strategy decides everything it can afford.
+    ``auto`` runs cheapest-first: coprimality of the nu values is a
+    sufficient criterion ("coprime-nu"), then the exact test decides
+    everything it can afford ("exact").  ``coprime`` and ``exact`` run
+    one rung each.
     """
-    m1 = pair_metrics(G, *p1)
-    m2 = pair_metrics(G, *p2)
-    if strategy in ("auto", "coprime"):
-        if math.gcd(m1.nu, m2.nu) == 1:
+    if strategy not in ("auto", "coprime", "exact"):
+        raise PreconditionError(f"unknown sigma strategy {strategy!r}")
+    if strategy != "exact":
+        if math.gcd(pair_metrics(G, *p1).nu, pair_metrics(G, *p2).nu) == 1:
             return True, "coprime-nu", None
         if strategy == "coprime":
             return None, "coprime-nu", None
-    if strategy in ("auto", "cycle-type") and G.kind in ("sym", "alt"):
-        s1 = sigma_set(G, *p1, strategy="cycle-type")
-        s2 = sigma_set(G, *p2, strategy="cycle-type")
-        common = (s1.types & s2.types) - {()}
-        if not common:
-            return True, "cycle-type", None
-        if s1.types_exact:
-            # In the full symmetric group equal cycle type means conjugate.
-            return False, "cycle-type", min(common)
-        if strategy == "cycle-type":
-            return None, "cycle-type", None
-    if strategy in ("auto", "exact"):
-        try:
-            ok, witness = _intersection_exact(G, p1, p2, class_cap)
-            return ok, "exact", witness
-        except CapacityExceeded:
-            return None, "exact", None
-    return None, strategy, None
+    try:
+        ok, witness = _intersection_exact(G, p1, p2, class_cap)
+        return ok, "exact", witness
+    except CapacityExceeded:
+        return None, "exact", None
 
 
 # -- checkers ---------------------------------------------------------------
@@ -392,10 +359,9 @@ def check_mixed(G: Group, M: MixedQuadruple,
 
     sigma: set = set()
     try:
-        for x in (M.a, M.c, mul(M.a, M.c)):
-            for y in _power_closure(G, x):
-                if y not in sigma:
-                    sigma |= orbit([y], conjugates, class_cap, "conjugacy class")
+        for y in _powers(G, M.a, M.c):
+            if y not in sigma:
+                sigma |= orbit([y], conjugates, class_cap, "conjugacy class")
     except CapacityExceeded:
         _condition(report, "coset-squares", None, "exact",
                    "sigma set over class cap")

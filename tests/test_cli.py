@@ -14,6 +14,7 @@ from beauville.literals import (
 )
 from beauville.matgroups import SL2Group
 from beauville.perms import SymmetricGroup
+from beauville.structures import UnmixedStructure, sigma_set
 
 
 def run_bv(*args, stdin=None):
@@ -73,6 +74,21 @@ def test_cli_check_fail_exit_code_and_witness():
     report = json.loads(proc.stdout)
     assert report["verdict"] == "fail"
     assert report["witness"] is not None
+
+
+def test_cli_check_fail_witness_on_sym(tmp_path):
+    # The same pair twice: the S_n witness is a permutation in both sigma sets.
+    v = sym_structure(8)
+    path = tmp_path / "clash.json"
+    clash = UnmixedStructure(v.group, v.a1, v.c1, v.a1, v.c1)
+    path.write_text(json.dumps(structure_to_json(clash)))
+    proc = run_bv("check-unmixed", "--file", str(path), "--json")
+    assert proc.returncode == 1, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["verdict"] == "fail"
+    witness = parse_element(v.group, report["witness"])
+    assert witness != v.group.identity
+    assert witness in sigma_set(v.group, v.a1, v.c1)
 
 
 def test_cli_count_abelian_json():

@@ -1,9 +1,11 @@
 """Differential oracles for the exact generation certificates, the
-catalogue scan and the equivalence orbits.
+class labels, the catalogue scan and the equivalence orbits.
 
 The known-order stabilizer chain (S_n, A_n) and orbit-stabilizer on
 vectors (SL(2,p), PSL(2,p)) are checked against the deterministic chain
-``bsgs_order`` and against closure, which know nothing of either.  The
+``bsgs_order`` and against closure, which know nothing of either.  Class
+labels, and the sigma test built on them, are checked against the
+conjugacy-class search.  The
 unmixed catalogue scan is checked against a brute force that uses
 neither the indexed tables nor fingerprint buckets.  Pair orbits and
 keyed structure orbits are checked against breadth-first searches that
@@ -51,7 +53,13 @@ from beauville.reality import (
     reality_unmixed,
 )
 from beauville.search import enumerate_unmixed, orbit_representatives
-from beauville.structures import UnmixedStructure, check_unmixed, pair_metrics
+from beauville.structures import (
+    UnmixedStructure,
+    check_unmixed,
+    pair_metrics,
+    sigma_set,
+    try_sigma_disjoint,
+)
 
 
 def _class_reps(G, elements):
@@ -235,6 +243,45 @@ def test_generation_strategy_names_the_certificate(G, label):
     report = check_unmixed(G, v)
     strategies = {cond.id: cond.strategy for cond in report.conditions}
     assert strategies["generates-1"] == strategies["generates-2"] == label
+
+
+LABELLED = ([SymmetricGroup(n) for n in (5, 6, 7)] + [AlternatingGroup(n) for n in (5, 6, 7, 8)]
+            + [SL2Group(p) for p in (5, 7, 11, 13)] + [PSL2Group(p) for p in (7, 11, 13)])
+
+
+def _name(G):
+    return format_descriptor(G.descriptor())
+
+
+@pytest.mark.parametrize("G", LABELLED, ids=_name)
+def test_class_label_against_conjugacy_class(G):
+    first_of_label, seen = {}, set()
+    for x in sorted(G.elements()):
+        if x not in seen:
+            cls = conjugacy_class(G, x)
+            seen |= cls
+            label = G.class_label(x)
+            assert {G.class_label(y) for y in cls} == {label}
+            assert first_of_label.setdefault(label, x) == x, "two classes share a label"
+
+
+@pytest.mark.parametrize("G", LABELLED, ids=_name)
+def test_labelled_sigma_test_against_class_search(G):
+    rng = random.Random(G.order)
+    elements = sorted(G.elements())
+    e = G.identity
+    verdicts = set()
+    for i in range(16):
+        # Single cyclic subgroups as well as pairs, so that both verdicts occur.
+        p1 = (rng.choice(elements), rng.choice(elements) if i % 2 else e)
+        p2 = (rng.choice(elements), rng.choice(elements) if i % 2 else e)
+        s1, s2 = sigma_set(G, *p1), sigma_set(G, *p2)
+        disjoint, strategy, witness = try_sigma_disjoint(G, p1, p2, strategy="exact")
+        assert strategy == "exact" and disjoint == (s1 & s2 == {e}), (p1, p2)
+        if not disjoint:
+            assert witness != e and witness in s1 & s2
+        verdicts.add(disjoint)
+    assert verdicts == {True, False}
 
 
 def _has_structure_by_brute_force(G) -> bool:

@@ -13,6 +13,8 @@ from beauville.gallery import (
 from beauville.matgroups import SL2Group, sl2_constants
 from beauville.perms import AlternatingGroup, SymmetricGroup, parse_cycles, pinv, pmul
 from beauville.reality import (
+    AutBackend,
+    CaseSolution,
     StructureKeys,
     apply_sigma,
     aut_generator_maps,
@@ -234,13 +236,20 @@ def test_backend_rejects_degree_six():
 
 def test_equal_type_swap_falls_back_to_orbit():
     # Two pairs of identical type multiset on a small abelian group: the
-    # swap route is available and the orbit search decides positively.
+    # swap route is available.  The GL(2) backend decides it from the
+    # case tables; a complete backend that solves no case leaves it to
+    # the orbit search, which decides positively.
     A = Abelian2(5)
     v = UnmixedStructure(A, (1, 0), (0, 1), (1, 2), (3, 4))
     m1 = pair_metrics(A, v.a1, v.c1)
     m2 = pair_metrics(A, v.a2, v.c2)
     assert m1.order_multiset() == m2.order_multiset()
     verdict = reality_unmixed(A, v)
+    assert verdict.biholo_conjugate is True
+    assert verdict.decided_by == "case-table"
+    unsolved = AutBackend("none", True, lambda G, a, c, u, w: CaseSolution(frozenset(), {}, True))
+    verdict = reality_unmixed(A, v, unsolved)
+    assert verdict.decided_by == "orbit-search"
     assert verdict.biholo_conjugate is True
 
 

@@ -91,8 +91,8 @@ def test_genus_riemann_hurwitz_oracle():
 def test_sigma_exact_abelian():
     A = Abelian2(5)
     s = sigma_set(A, (1, 0), (0, 1))
-    assert s.size() == 13
-    assert A.identity in s.elements
+    assert len(s) == 13
+    assert A.identity in s
 
 
 def test_sigma_matches_naive_definition():
@@ -101,7 +101,7 @@ def test_sigma_matches_naive_definition():
         els = sorted(generated_subgroup(G, G.generators), key=repr)
         for _ in range(12):
             a, c = rng.choice(els), rng.choice(els)
-            assert sigma_set(G, a, c).elements == sigma_naive(G, a, c, els)
+            assert sigma_set(G, a, c) == sigma_naive(G, a, c, els)
 
 
 def test_sigma_inversion_invariance():
@@ -110,23 +110,33 @@ def test_sigma_inversion_invariance():
         els = sorted(generated_subgroup(G, G.generators), key=repr)
         for _ in range(20):
             a, c = rng.choice(els), rng.choice(els)
-            assert sigma_set(G, a, c).elements == sigma_set(G, G.inv(a), G.inv(c)).elements
+            assert sigma_set(G, a, c) == sigma_set(G, G.inv(a), G.inv(c))
 
 
 def test_sigma_identity_pair():
     A = Abelian2(5)
-    assert sigma_set(A, A.identity, A.identity).elements == frozenset([A.identity])
+    assert sigma_set(A, A.identity, A.identity) == frozenset([A.identity])
 
 
 def test_cycle_type_strategy_exact_for_sym():
+    # The S_n class label is the cycle type.
     v = _sym8_structure()
     verdict, strat, _ = try_sigma_disjoint(v.group, (v.a1, v.c1), (v.a2, v.c2),
-                                           strategy="cycle-type")
-    assert verdict is True and strat == "cycle-type"
+                                           strategy="exact")
+    assert verdict is True and strat == "exact"
     # a clashing pair: same pair twice
     verdict, _, witness = try_sigma_disjoint(v.group, (v.a1, v.c1), (v.a1, v.c1),
-                                             strategy="cycle-type")
-    assert verdict is False and witness is not None
+                                             strategy="exact")
+    assert verdict is False
+    assert witness != v.group.identity and witness in sigma_set(v.group, v.a1, v.c1)
+
+
+@pytest.mark.parametrize("name", ["cycle_type", "cycle-type"])
+def test_unknown_sigma_strategy_raises(name):
+    A = Abelian2(5)
+    v = UnmixedStructure(A, (1, 0), (0, 1), (1, 2), (3, 4))
+    with pytest.raises(PreconditionError, match="unknown sigma strategy"):
+        check_unmixed(A, v, strategy=name)
 
 
 def test_check_unmixed_pass_and_fail():
@@ -141,8 +151,8 @@ def test_check_unmixed_pass_and_fail():
     assert rep.verdict == "fail"
     assert rep.witness is not None
     # the witness is independently re-verifiable
-    s1 = sigma_set(A, bad.a1, bad.c1).elements
-    s2 = sigma_set(A, bad.a2, bad.c2).elements
+    s1 = sigma_set(A, bad.a1, bad.c1)
+    s2 = sigma_set(A, bad.a2, bad.c2)
     assert rep.witness in (s1 & s2) and rep.witness != A.identity
 
 
