@@ -48,19 +48,45 @@ class IndexedGroup:
         n = len(self.elems)
         if n != ctx.order:
             raise PreconditionError("generator closure does not match the stated order")
-        mul = ctx.mul
         idx = self.index
-        self.mul_row = [
-            [idx[mul(x, y)] for y in self.elems] for x in self.elems
-        ]
-        self.inv = [idx[ctx.inv(x)] for x in self.elems]
         self.id_index = idx[ctx.identity]
+        self.mul_row = self._regular_rows()
+        self.inv = [idx[ctx.inv(x)] for x in self.elems]
         self.order_of = self._orders()
         self.class_id = self._classes()
         self.power_ids = [self._power_elements(i) for i in range(n)]
         self.power_classes = [
             frozenset(self.class_id[j] for j in self.power_ids[i]) for i in range(n)
         ]
+        # Subgroups that refuted a pair in ``generates``: their sizes in
+        # bit order, each element's mask of the subgroups holding it, and
+        # per target size the mask of the kept subgroups below it.
+        self._refuted_sizes: list = []
+        self._refuted_masks = [0] * n
+        self._refuted_below: dict = {}
+
+    def _regular_rows(self):
+        """Rows of the left regular representation, row[x][y] = id of xy.
+
+        Only the generators' rows take ``ctx.mul``; every other row is
+        composed as row[x*g] = row[x] o row[g] along one breadth-first
+        search over right multiplication by the generators."""
+        mul, idx, elems = self.ctx.mul, self.index, self.elems
+        gens = {}  # id -> row, in generator order without repeats
+        for g in self.ctx.generators:
+            gens.setdefault(idx[g], [idx[mul(g, y)] for y in elems])
+        n = len(elems)
+        rows = [None] * n
+        rows[self.id_index] = list(range(n))
+        queue = deque([self.id_index])
+        while queue:
+            rx = rows[queue.popleft()]
+            for g, rg in gens.items():
+                y = rx[g]
+                if rows[y] is None:
+                    rows[y] = [rx[k] for k in rg]
+                    queue.append(y)
+        return rows
 
     def _orders(self):
         out = [0] * len(self.elems)
@@ -109,9 +135,20 @@ class IndexedGroup:
     def generates(self, i: int, j: int, within=None) -> bool:
         """Whether elements i and j generate the group, or the subgroup
         ``within`` (a set of ids) when given; the search stops at the
-        first element outside ``within``."""
-        # Inline, not orbit(): a callback per node slowed the mixed 136 scan by 10-20%.
+        first element outside ``within``.
+
+        Every closure that falls short of its target is kept as a bit in
+        the mask of each of its elements, so a later pair inside a kept
+        subgroup smaller than its own target is refuted without a search."""
         target = len(self.elems) if within is None else len(within)
+        below = self._refuted_below.get(target)
+        if below is None:
+            below = sum(1 << b for b, size in enumerate(self._refuted_sizes) if size < target)
+            self._refuted_below[target] = below
+        masks = self._refuted_masks
+        if masks[i] & masks[j] & below:
+            return False
+        # Inline, not orbit(): a callback per node slowed the mixed 136 scan by 10-20%.
         seen = {self.id_index}
         queue = deque([self.id_index])
         rows = self.mul_row
@@ -124,7 +161,17 @@ class IndexedGroup:
                         return False
                     seen.add(y)
                     queue.append(y)
-        return len(seen) == target
+        size = len(seen)
+        if size == target:
+            return True
+        bit = 1 << len(self._refuted_sizes)
+        self._refuted_sizes.append(size)
+        for t in self._refuted_below:
+            if size < t:
+                self._refuted_below[t] |= bit
+        for x in seen:
+            masks[x] |= bit
+        return False
 
     def hyperbolic(self, i: int, j: int) -> bool:
         r = self.order_of[i]
@@ -173,6 +220,13 @@ def _fingerprint_buckets(idx: IndexedGroup, per_fp_cap: int | None = None):
     """
     n = len(idx.elems)
     e = idx.id_index
+    cid = idx.class_id
+    # Hyperbolicity and the fingerprint are class functions of (i, j, ij):
+    # per class of i, the bucket (None when not hyperbolic) by the key
+    # class(j) * classes + class(ij).
+    classes = max(cid) + 1
+    scaled = [c * classes for c in cid]
+    memo_of_class = [{} for _ in range(classes)]
     pc = idx.power_classes
     by_fp: dict = {}
     truncated = False
@@ -180,10 +234,19 @@ def _fingerprint_buckets(idx: IndexedGroup, per_fp_cap: int | None = None):
         if i == e:
             continue
         row = idx.mul_row[i]
+        memo = memo_of_class[cid[i]]
         for j in range(n):
-            if j == e or not idx.hyperbolic(i, j):
+            if j == e:
                 continue
-            bucket = by_fp.setdefault(pc[i] | pc[j] | pc[row[j]], [])
+            key = scaled[j] + cid[row[j]]
+            if key in memo:
+                bucket = memo[key]
+            elif idx.hyperbolic(i, j):
+                bucket = memo[key] = by_fp.setdefault(pc[i] | pc[j] | pc[row[j]], [])
+            else:
+                bucket = memo[key] = None
+            if bucket is None:
+                continue
             if per_fp_cap is None or len(bucket) < per_fp_cap:
                 bucket.append((i, j))
             else:
@@ -545,13 +608,13 @@ def wallpaper_scan(d: int, m: int) -> dict:
     n = len(idx.elems)
     sigma_by_fp: dict = {}
     pair_by_fp: dict = {}
+    # Only the first generating pair of each fingerprint is kept, so
+    # generation is checked only while its fingerprint is unrecorded.
     for i in range(n):
         row = idx.mul_row[i]
         for j in range(n):
-            if not idx.generates(i, j):
-                continue
             fp = idx.power_classes[i] | idx.power_classes[j] | idx.power_classes[row[j]]
-            if fp not in sigma_by_fp:
+            if fp not in sigma_by_fp and idx.generates(i, j):
                 sigma_by_fp[fp] = idx.sigma_elements(fp)
                 pair_by_fp[fp] = (i, j)
     fps = sorted(sigma_by_fp, key=sorted)

@@ -246,6 +246,11 @@ def _intersection_exact(G: Group, p1, p2, class_cap):
     return False, min(extra, key=repr)
 
 
+def _require_sigma_strategy(strategy: str) -> None:
+    if strategy not in ("auto", "coprime", "exact"):
+        raise PreconditionError(f"unknown sigma strategy {strategy!r}")
+
+
 def try_sigma_disjoint(G: Group, p1, p2, strategy: str = "auto",
                        class_cap: int = DEFAULT_CLASS_CAP):
     """(verdict, strategy, witness): verdict None means inconclusive.
@@ -255,8 +260,7 @@ def try_sigma_disjoint(G: Group, p1, p2, strategy: str = "auto",
     everything it can afford ("exact").  ``coprime`` and ``exact`` run
     one rung each.
     """
-    if strategy not in ("auto", "coprime", "exact"):
-        raise PreconditionError(f"unknown sigma strategy {strategy!r}")
+    _require_sigma_strategy(strategy)
     if strategy != "exact":
         if math.gcd(pair_metrics(G, *p1).nu, pair_metrics(G, *p2).nu) == 1:
             return True, "coprime-nu", None
@@ -277,6 +281,7 @@ def check_unmixed(G: Group, v: UnmixedStructure, strategy: str = "auto",
                   closure_cap: int = DEFAULT_CLOSURE_CAP) -> CheckReport:
     """Verify the unmixed conditions: both pairs generate, sigma sets
     meet only in the identity; hyperbolicity is recorded for both pairs."""
+    _require_sigma_strategy(strategy)
     report = CheckReport(verdict="undecided")
     gen_strategy = G.generation_certificate
     for idx, (a, c) in enumerate(v.pairs(), start=1):

@@ -1,5 +1,6 @@
 """Differential oracles for the exact generation certificates, the
-class labels, the catalogue scan and the equivalence orbits.
+class labels, the catalogue scan, the integer-id search core and the
+equivalence orbits.
 
 The known-order stabilizer chain (S_n, A_n) and orbit-stabilizer on
 vectors (SL(2,p), PSL(2,p)) are checked against the deterministic chain
@@ -7,12 +8,16 @@ vectors (SL(2,p), PSL(2,p)) are checked against the deterministic chain
 labels, and the sigma test built on them, are checked against the
 conjugacy-class search.  The
 unmixed catalogue scan is checked against a brute force that uses
-neither the indexed tables nor fingerprint buckets.  Pair orbits and
+neither the indexed tables nor fingerprint buckets.  The composed
+multiplication tables, the refuted-subgroup memo of
+``IndexedGroup.generates`` and the class-keyed fingerprint buckets are
+checked against the plain builds they replaced.  Pair orbits and
 keyed structure orbits are checked against breadth-first searches that
 apply every generator of the equivalence group at every point.
 """
 
 import random
+from collections import deque
 from functools import partial
 
 import pytest
@@ -20,8 +25,10 @@ import pytest
 from beauville import core, gallery, perms, search
 from beauville.constructions import (
     Abelian2,
+    Wallpaper,
     build_h4,
     catalogue,
+    dicyclic,
     dihedral,
     format_descriptor,
     group_from_descriptor,
@@ -52,7 +59,13 @@ from beauville.reality import (
     it_orbit,
     reality_unmixed,
 )
-from beauville.search import enumerate_unmixed, orbit_representatives
+from beauville.search import (
+    IndexedGroup,
+    _fingerprint_buckets,
+    _index2_subgroups,
+    enumerate_unmixed,
+    orbit_representatives,
+)
 from beauville.structures import (
     UnmixedStructure,
     check_unmixed,
@@ -332,6 +345,104 @@ def test_unmixed_scan_against_brute_force(monkeypatch):
         G = group_from_descriptor(desc)
         name = format_descriptor(desc)
         assert (name in hits) == _has_structure_by_brute_force(G), name
+
+
+# -- integer-id search core ------------------------------------------------------
+# The builds that the composed tables, the refuted-subgroup memo and the
+# class-keyed fingerprints replaced.
+
+
+def _mul_table(idx):
+    mul = idx.ctx.mul
+    return [[idx.index[mul(x, y)] for y in idx.elems] for x in idx.elems]
+
+
+def _generates_by_bfs(idx, i, j, within=None):
+    target = len(idx.elems) if within is None else len(within)
+    seen = {idx.id_index}
+    queue = deque([idx.id_index])
+    rows = idx.mul_row
+    while queue:
+        x = queue.popleft()
+        for s in (i, j):
+            y = rows[x][s]
+            if y not in seen:
+                if within is not None and y not in within:
+                    return False
+                seen.add(y)
+                queue.append(y)
+    return len(seen) == target
+
+
+def _fingerprint_buckets_by_pairs(idx, per_fp_cap=None):
+    n = len(idx.elems)
+    e = idx.id_index
+    pc = idx.power_classes
+    by_fp: dict = {}
+    truncated = False
+    for i in range(n):
+        if i == e:
+            continue
+        row = idx.mul_row[i]
+        for j in range(n):
+            if j == e or not idx.hyperbolic(i, j):
+                continue
+            bucket = by_fp.setdefault(pc[i] | pc[j] | pc[row[j]], [])
+            if per_fp_cap is None or len(bucket) < per_fp_cap:
+                bucket.append((i, j))
+            else:
+                truncated = True
+    return by_fp, truncated
+
+
+class _PaddedGenerators(SymmetricGroup):
+    """S4 with a repeated generator and the identity among its generators."""
+
+    @property
+    def generators(self):
+        a, b = super().generators
+        return [a, self.identity, a, b, b]
+
+
+_TABLE_FLEET = ([group_from_descriptor(d) for d in catalogue(128)]
+                + [group_from_descriptor(parse_descriptor(d))
+                   for d in ("sl2:5", "psl2:7", "psl2:11", "ab2:5")]
+                + [Wallpaper(d, m) for d, m in ((3, 4), (3, 5), (4, 3), (4, 4), (6, 3))]
+                + [_PaddedGenerators(4)])
+
+
+def test_composed_tables_against_mul():
+    for G in _TABLE_FLEET:
+        idx = IndexedGroup(G)
+        assert idx.mul_row == _mul_table(idx), G.descriptor()
+
+
+_MEMO_FLEET = ([SymmetricGroup(4), AlternatingGroup(5)]
+               + [dihedral(n) for n in range(2, 17)] + [dicyclic(n) for n in range(2, 9)])
+
+
+@pytest.mark.parametrize("G", _MEMO_FLEET, ids=lambda G: format_descriptor(G.descriptor()))
+def test_refuted_subgroup_memo_against_bfs(G):
+    idx = IndexedGroup(G)
+    n = len(idx.elems)
+    queries = [(i, j, within) for within in [None] + _index2_subgroups(idx)
+               for i in range(n) for j in range(n)]
+    for seed in range(2):
+        random.Random(seed).shuffle(queries)
+        fresh = IndexedGroup(G)
+        for i, j, within in queries:
+            assert fresh.generates(i, j, within) == _generates_by_bfs(idx, i, j, within), \
+                (i, j, within is not None)
+
+
+@pytest.mark.parametrize("desc", ["sym:5", "sl2:5", "psl2:7", "ab2:5"])
+def test_class_keyed_fingerprints_against_pairs(desc):
+    idx = IndexedGroup(group_from_descriptor(parse_descriptor(desc)))
+    for cap in (None, 16):
+        got, got_truncated = _fingerprint_buckets(idx, per_fp_cap=cap)
+        want, want_truncated = _fingerprint_buckets_by_pairs(idx, per_fp_cap=cap)
+        assert list(got.items()) == list(want.items())
+        assert got_truncated == want_truncated
 
 
 # -- equivalence orbits -------------------------------------------------------

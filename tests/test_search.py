@@ -260,7 +260,6 @@ def test_hunt_reality_complete_without_truncation():
     assert res.complete is True
 
 
-@pytest.mark.slow
 def test_hunt_reality_sl2_13_biholo_not_real():
     # The q = 7 phenomenon: 7 divides 13 + 1 and is not a square mod 13,
     # and structures equivalent to their conjugate without being real exist.

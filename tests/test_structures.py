@@ -139,6 +139,15 @@ def test_unknown_sigma_strategy_raises(name):
         check_unmixed(A, v, strategy=name)
 
 
+def test_unknown_sigma_strategy_raises_before_any_condition():
+    # The first pair does not generate, so no sigma test would run.
+    A = Abelian2(5)
+    v = UnmixedStructure(A, (1, 0), (2, 0), (1, 2), (3, 4))
+    assert check_unmixed(A, v).verdict == "fail"
+    with pytest.raises(PreconditionError, match="unknown sigma strategy"):
+        check_unmixed(A, v, strategy="bogus")
+
+
 def test_check_unmixed_pass_and_fail():
     A = Abelian2(5)
     good = UnmixedStructure(A, (1, 0), (0, 1), (1, 2), (3, 4))
