@@ -222,8 +222,8 @@ def _fingerprint_buckets(idx: IndexedGroup, per_fp_cap: int | None = None):
     e = idx.id_index
     cid = idx.class_id
     # Hyperbolicity and the fingerprint are class functions of (i, j, ij):
-    # per class of i, the bucket (None when not hyperbolic) by the key
-    # class(j) * classes + class(ij).
+    # per class of i, the bucket by the key class(j) * classes + class(ij),
+    # or None when the pair is not hyperbolic or its bucket is full.
     classes = max(cid) + 1
     scaled = [c * classes for c in cid]
     memo_of_class = [{} for _ in range(classes)]
@@ -239,18 +239,18 @@ def _fingerprint_buckets(idx: IndexedGroup, per_fp_cap: int | None = None):
             if j == e:
                 continue
             key = scaled[j] + cid[row[j]]
-            if key in memo:
+            try:
                 bucket = memo[key]
-            elif idx.hyperbolic(i, j):
-                bucket = memo[key] = by_fp.setdefault(pc[i] | pc[j] | pc[row[j]], [])
-            else:
-                bucket = memo[key] = None
+            except KeyError:
+                bucket = memo[key] = (by_fp.setdefault(pc[i] | pc[j] | pc[row[j]], [])
+                                      if idx.hyperbolic(i, j) else None)
             if bucket is None:
                 continue
             if per_fp_cap is None or len(bucket) < per_fp_cap:
                 bucket.append((i, j))
             else:
                 truncated = True
+                memo[key] = None  # the bucket is full for good
     return by_fp, truncated
 
 
