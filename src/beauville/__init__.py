@@ -42,7 +42,6 @@ from .reality import (
     RealityVerdict,
     apply_sigma,
     backend_for,
-    iota,
     iota_pair,
     it_orbit,
     lemma_case_table,

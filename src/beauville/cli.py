@@ -46,16 +46,20 @@ EXIT_USAGE = 64
 
 
 def _caps_from_env() -> dict:
-    """BV_CAPS override, e.g. "closure=500000,class=200000"."""
-    raw = os.environ.get("BV_CAPS", "")
+    """BV_CAPS override, e.g. "closure=500000,class=200000".
+
+    The keys are closure, class and subgroup, each set to a whole
+    number; any other entry is a usage error.
+    """
     out = {}
-    for part in raw.split(","):
-        if "=" in part:
-            key, val = part.split("=", 1)
-            try:
-                out[key.strip()] = int(val)
-            except ValueError:
-                pass
+    for part in os.environ.get("BV_CAPS", "").split(","):
+        if not part.strip():
+            continue
+        key, _, val = part.partition("=")
+        key = key.strip()
+        if key not in ("closure", "class", "subgroup") or not val.strip().isdigit():
+            raise PreconditionError(f"malformed BV_CAPS entry {part!r}")
+        out[key] = int(val)
     return out
 
 

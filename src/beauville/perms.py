@@ -461,20 +461,16 @@ def conjugator_search(
     a_target: tuple,
     c: tuple,
     c_target: tuple,
-    ambient: str = "sym",
-    cap_centralizer: int = DEFAULT_CENTRALIZER_CAP,
 ) -> list:
-    """Complete list of ambient g with g a g^-1 = a_target, g c g^-1 = c_target.
+    """Complete list of g in S_n with g a g^-1 = a_target, g c g^-1 = c_target.
 
     Solutions of the first equation form a coset g0 * C(a); the
     centralizer is enumerated from the cycle structure and filtered by
-    the second equation and the ambient parity.  Raises DegeneratePair
-    when both a and c are the identity (the solution set would be the
-    whole ambient group) and CapacityExceeded past ``cap_centralizer``.
+    the second equation.  Raises DegeneratePair when both a and c are
+    the identity (the solution set would be the whole of S_n) and
+    CapacityExceeded past ``DEFAULT_CENTRALIZER_CAP``.
     """
     n = len(a)
-    if ambient not in ("sym", "alt"):
-        raise PreconditionError(f"unknown ambient {ambient!r}")
     ident = identity_perm(n)
     if a == ident and c == ident:
         if a_target == ident and c_target == ident:
@@ -489,12 +485,9 @@ def conjugator_search(
     if cycle_type(c) != cycle_type(c_target):
         return []
     out = []
-    c_inv_needed = c_target
-    for z in iter_centralizer(a, cap=cap_centralizer):
+    for z in iter_centralizer(a):
         g = pmul(g0, z)
-        if ambient == "alt" and parity(g) != 0:
-            continue
-        if pmul(g, pmul(c, pinv(g))) == c_inv_needed:
+        if pmul(g, pmul(c, pinv(g))) == c_target:
             assert pmul(g, pmul(a, pinv(g))) == a_target
             out.append(g)
     out.sort()

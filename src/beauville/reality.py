@@ -5,17 +5,21 @@ inversion (the algebraic shadow of complex conjugation), orbits under
 inner automorphisms, and the decision procedures for "biholomorphic to
 the conjugate surface", "real" and "strongly real".
 
-Automorphism solving is backend-specific: symmetric and alternating
-groups reduce to conjugator search in the ambient symmetric group (with
-the parity of the conjugator as outer label), SL/PSL reduce to the
-linear conjugation solver over the two determinant cosets, rank-2
+Automorphisms are described once per backend (``backend_for``): a case
+solver that names the outer class of each solution, and the outer maps
+that generate Aut(G) with the inner automorphisms.  Symmetric and
+alternating groups reduce to conjugator search in the ambient symmetric
+group (with the parity of the conjugator as outer label), SL/PSL to the
+linear conjugation solver before and after the outer map, rank-2
 abelian groups to a single GL(2) solve, and swap products over SL to
-componentwise coset solves with a shared-coset compatibility condition.
+componentwise solves with a shared outer-class condition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from collections.abc import Callable
+from dataclasses import dataclass
 from functools import partial
 
 from .core import (
@@ -30,8 +34,13 @@ from .core import (
 from .matgroups import (
     PSL2Group,
     SL2Group,
+    _prime_factors,
+    inv_mod,
+    is_prime,
+    is_square,
+    minv,
+    mmul,
     mneg,
-    psl_canon,
     solve_conjugation_sl2,
 )
 from .perms import (
@@ -40,13 +49,12 @@ from .perms import (
     SymmetricGroup,
     conjugator_search,
     parity,
-    pinv,
     pmul,
 )
 from .structures import MixedQuadruple, UnmixedStructure, pair_metrics
 
 
-# -- sigma operations and iota ------------------------------------------
+# -- sigma operations and inversion ---------------------------------------
 
 
 def apply_sigma(G: Group, i: int, pair: tuple) -> tuple:
@@ -71,13 +79,6 @@ def apply_sigma(G: Group, i: int, pair: tuple) -> tuple:
 def iota_pair(G: Group, pair: tuple) -> tuple:
     a, c = pair
     return (G.inv(a), G.inv(c))
-
-
-def iota(x):
-    """Componentwise inversion of a pair carrier."""
-    if isinstance(x, UnmixedStructure) or isinstance(x, MixedQuadruple):
-        return x.inverted()
-    raise PreconditionError(f"iota undefined for {type(x).__name__}")
 
 
 def _conjugates(mul, gens: list, pair: tuple) -> list:
@@ -128,89 +129,67 @@ def case_targets(G: Group, i: int, a, c) -> tuple:
 @dataclass
 class CaseSolution:
     """Solvability of one case pattern: the set of outer labels realized
-    by solutions, a sample witness per label, and decidability."""
+    by solutions, and decidability."""
 
     labels: frozenset
-    witnesses: dict
     decided: bool  # False when the backend could not settle the case
 
 
 @dataclass
 class AutBackend:
-    """How automorphisms of a context are enumerated or solved.
+    """What is known of Aut(G); ``backend_for`` builds it.
 
-    ``complete`` records whether the backend covers all of Aut(G); an
-    incomplete backend can certify existence but never absence.
+    ``solve(G, a, c, u, v)`` gives the labels of the automorphisms psi
+    with psi(a) = u, psi(c) = v.  ``complete`` records whether ``solve``
+    covers all of Aut(G); an incomplete backend can certify existence
+    but never absence.  ``outer`` lists maps that generate Aut(G)
+    together with the inner automorphisms, or is None where they are
+    unknown.
     """
 
-    kind: str
+    solve: Callable
     complete: bool
-    _solver: object
-
-    def solve(self, G: Group, a, c, u, v) -> CaseSolution:
-        """Labels of automorphisms psi with psi(a) = u, psi(c) = v."""
-        return self._solver(G, a, c, u, v)
+    outer: list | None
 
 
 def _sym_solver(G, a, c, u, v) -> CaseSolution:
     try:
-        sols = conjugator_search(a, u, c, v, ambient="sym")
+        sols = conjugator_search(a, u, c, v)
     except DegeneratePair:
-        return CaseSolution(frozenset(["inner"]), {"inner": G.identity}, True)
+        return CaseSolution(frozenset(["inner"]), True)
     except CapacityExceeded:
-        return CaseSolution(frozenset(), {}, False)
-    if not sols:
-        return CaseSolution(frozenset(), {}, True)
-    return CaseSolution(frozenset(["inner"]), {"inner": sols[0]}, True)
+        return CaseSolution(frozenset(), False)
+    return CaseSolution(frozenset(["inner"] if sols else []), True)
 
 
 def _alt_solver(G, a, c, u, v) -> CaseSolution:
+    # A_n is normal in S_n: an odd conjugator is an outer automorphism.
     try:
-        sols = conjugator_search(a, u, c, v, ambient="sym")
+        sols = conjugator_search(a, u, c, v)
     except DegeneratePair:
-        return CaseSolution(frozenset(["even", "odd"]),
-                            {"even": G.identity}, True)
+        return CaseSolution(frozenset(["even", "odd"]), True)
     except CapacityExceeded:
-        return CaseSolution(frozenset(), {}, False)
-    labels = {}
-    for g in sols:
-        name = "even" if parity(g) == 0 else "odd"
-        labels.setdefault(name, g)
-    return CaseSolution(frozenset(labels), labels, True)
+        return CaseSolution(frozenset(), False)
+    return CaseSolution(frozenset("odd" if parity(g) else "even" for g in sols), True)
 
 
-def _sl2_solver(G, a, c, u, v) -> CaseSolution:
+def _linear_solver(lifts, outer, G, a, c, u, v) -> CaseSolution:
+    """Label "sl" for an inner psi, "slw" for psi = inner after ``outer``.
+
+    ``lifts(x)`` are the matrices of determinant 1 that stand for x.
+    """
     p = G.p
-    labels = {}
-    for coset in ("sl", "slw"):
-        g = solve_conjugation_sl2(p, a, u, c, v, coset)
-        if g is not None:
-            labels[coset] = g
-    return CaseSolution(frozenset(labels), labels, True)
-
-
-def _psl2_solver(G, a, c, u, v) -> CaseSolution:
-    # Projective targets lift to the matrix group up to sign.
-    p = G.p
-    labels = {}
-    for su in (u, mneg(u, p)):
-        for sv in (v, mneg(v, p)):
-            for coset in ("sl", "slw"):
-                if coset in labels:
-                    continue
-                g = solve_conjugation_sl2(p, a, su, c, sv, coset)
-                if g is not None:
-                    labels[coset] = g
-    return CaseSolution(frozenset(labels), labels, True)
+    return CaseSolution(frozenset(
+        label for label, (x, y) in (("sl", (a, c)), ("slw", (outer(a), outer(c))))
+        if any(solve_conjugation_sl2(p, x, su, y, sv, "sl") is not None
+               for su in lifts(u) for sv in lifts(v))), True)
 
 
 def _ab2_solver(G, a, c, u, v) -> CaseSolution:
-    import math
-
     n = G.n
     det = (a[0] * c[1] - a[1] * c[0]) % n
     if math.gcd(det, n) != 1:
-        return CaseSolution(frozenset(), {}, False)
+        return CaseSolution(frozenset(), False)
     # M [a c] = [u v]; the generating pair is a basis so M is unique.
     dinv = pow(det, -1, n)
     ia = ((c[1] * dinv) % n, (-a[1] * dinv) % n)
@@ -219,9 +198,8 @@ def _ab2_solver(G, a, c, u, v) -> CaseSolution:
     m01 = (u[0] * ia[1] + v[0] * ic[1]) % n
     m10 = (u[1] * ia[0] + v[1] * ic[0]) % n
     m11 = (u[1] * ia[1] + v[1] * ic[1]) % n
-    if math.gcd((m00 * m11 - m01 * m10) % n, n) != 1:
-        return CaseSolution(frozenset(), {}, True)
-    return CaseSolution(frozenset(["gl2"]), {"gl2": (m00, m01, m10, m11)}, True)
+    invertible = math.gcd((m00 * m11 - m01 * m10) % n, n) == 1
+    return CaseSolution(frozenset(["gl2"] if invertible else []), True)
 
 
 # Largest group the inner-only backend sweeps for a conjugator.
@@ -229,31 +207,58 @@ _INNER_CAP = 20000
 
 
 def _inner_solver(G, a, c, u, v) -> CaseSolution:
-    if G.order > _INNER_CAP:
-        return CaseSolution(frozenset(), {}, False)
-    for g in sorted(generated_subgroup(G, G.generators, cap=_INNER_CAP), key=repr):
-        if conjugate(G, a, g) == u and conjugate(G, c, g) == v:
-            return CaseSolution(frozenset(["inner"]), {"inner": g}, False)
     # Exhausting inner automorphisms proves nothing about outer ones.
-    return CaseSolution(frozenset(), {}, False)
+    if G.order <= _INNER_CAP:
+        for g in generated_subgroup(G, G.generators, cap=_INNER_CAP):
+            if conjugate(G, a, g) == u and conjugate(G, c, g) == v:
+                return CaseSolution(frozenset(["inner"]), False)
+    return CaseSolution(frozenset(), False)
+
+
+def _matrix_map(m, n):
+    """The automorphism x -> m x of (Z/n)^2."""
+    return lambda x: ((m[0] * x[0] + m[1] * x[1]) % n, (m[2] * x[0] + m[3] * x[1]) % n)
 
 
 def backend_for(G: Group) -> AutBackend:
+    """The automorphism backend of G: the one description of Aut(G).
+
+    - S_n (n != 6): every automorphism is inner.
+    - A_n (n != 6): Aut(A_n) = S_n; the outer map is conjugation by a
+      transposition.
+    - SL(2,p), PSL(2,p): Aut = PGL(2,p); the outer map is conjugation by
+      diag(nu, 1), of non-square determinant nu, the least mod p.
+    - (Z/n)^2: Aut = GL(2,n); generators are known for prime n only.
+    - Anything else: inner automorphisms only, an incomplete backend.
+    """
+    if isinstance(G, (SymmetricGroup, AlternatingGroup)) and G.n == 6:
+        raise PreconditionError("S_6 and A_6 have an exceptional outer automorphism")
     if isinstance(G, SymmetricGroup):
-        if G.n == 6:
-            raise PreconditionError("degree-6 symmetric group has an exceptional outer automorphism")
-        return AutBackend("sym-conjugation", True, _sym_solver)
+        return AutBackend(_sym_solver, True, [])
     if isinstance(G, AlternatingGroup):
-        if G.n == 6:
-            raise PreconditionError("degree-6 alternating group has an exceptional outer automorphism")
-        return AutBackend("sym-conjugation", True, _alt_solver)
-    if isinstance(G, SL2Group):
-        return AutBackend("slpm-conjugation", True, _sl2_solver)
-    if isinstance(G, PSL2Group):
-        return AutBackend("slpm-conjugation", True, _psl2_solver)
+        s = tuple([1, 0] + list(range(2, G.n)))
+        return AutBackend(_alt_solver, True, [lambda x: pmul(s, pmul(x, s))])
+    if isinstance(G, (SL2Group, PSL2Group)):
+        p = G.p
+        nu = next(x for x in range(2, p) if not is_square(p, x))
+        d, di = (nu, 0, 0, 1), (inv_mod(nu, p), 0, 0, 1)
+
+        def outer(x):
+            return G.mul(mmul(d, x, p), di)
+
+        lifts = (lambda x: (x,)) if isinstance(G, SL2Group) else (lambda x: (x, mneg(x, p)))
+        return AutBackend(partial(_linear_solver, lifts, outer), True, [outer])
     if G.kind == "ab2":
-        return AutBackend("gl2-action", True, _ab2_solver)
-    return AutBackend("inner-only", False, _inner_solver)
+        n = G.n
+        if not is_prime(n):
+            return AutBackend(_ab2_solver, True, None)
+        # GL(2,n) is generated by the two transvections and diag(g, 1)
+        # for a primitive root g.
+        g = next(g for g in range(1, n)
+                 if all(pow(g, (n - 1) // q, n) != 1 for q in _prime_factors(n - 1)))
+        return AutBackend(_ab2_solver, True, [_matrix_map(m, n) for m in
+                                              ((1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1))])
+    return AutBackend(_inner_solver, False, None)
 
 
 # -- case tables -------------------------------------------------------------
@@ -327,7 +332,6 @@ class RealityVerdict:
     strongly_real: bool | None
     tables: tuple
     decided_by: str
-    witnesses: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.real is True and self.biholo_conjugate is False:
@@ -343,27 +347,6 @@ class RealityVerdict:
             "decided_by": self.decided_by,
             "cases": [t.to_json() for t in self.tables],
         }
-
-
-def _common_label(t1: CaseTable, cases1, t2: CaseTable, cases2):
-    """(found, witness_info): a label realized for some case on each side."""
-    for i in cases1:
-        s1 = t1.entries.get(i)
-        if s1 is None or not s1.labels:
-            continue
-        for j in cases2:
-            s2 = t2.entries.get(j)
-            if s2 is None:
-                continue
-            common = s1.labels & s2.labels
-            if common:
-                label = sorted(common)[0]
-                return True, {
-                    "case_pair": (i, j),
-                    "label": label,
-                    "conjugators": (s1.witnesses.get(label), s2.witnesses.get(label)),
-                }
-    return False, None
 
 
 def reality_unmixed(G: Group, v: UnmixedStructure,
@@ -389,12 +372,10 @@ def reality_unmixed(G: Group, v: UnmixedStructure,
     swap_possible = m1.order_multiset() == m2.order_multiset()
 
     all_cases = tuple(range(6))
-    found_biholo, wit_b = _common_label(t1, all_cases, t2, all_cases)
-    found_real, wit_r = _common_label(t1, t1.real_cases(), t2, t2.real_cases())
-    found_strong, wit_s = _common_label(t1, (0,), t2, (0,))
 
-    def settle(found: bool, cases1, cases2) -> bool | None:
-        if found:
+    def settle(cases1, cases2) -> bool | None:
+        # One automorphism on both sides: a label realized on each.
+        if t1.labels(cases1) & t2.labels(cases2):
             return True
         if not backend.complete:
             return None
@@ -402,9 +383,9 @@ def reality_unmixed(G: Group, v: UnmixedStructure,
             return None
         return False
 
-    biholo = settle(found_biholo, all_cases, all_cases)
-    real = settle(found_real, t1.real_cases(), t2.real_cases())
-    strong = settle(found_strong, (0,), (0,))
+    biholo = settle(all_cases, all_cases)
+    real = settle(t1.real_cases(), t2.real_cases())
+    strong = settle((0,), (0,))
     decided_by = "case-table"
 
     if swap_possible and biholo is False:
@@ -429,66 +410,10 @@ def reality_unmixed(G: Group, v: UnmixedStructure,
         real = False
     if real is False:
         strong = False
-    verdict = RealityVerdict(
+    return RealityVerdict(
         biholo_conjugate=biholo, real=real, strongly_real=strong,
         tables=(t1, t2), decided_by=decided_by,
-        witnesses={k: w for k, w in (("biholo", wit_b), ("real", wit_r),
-                                     ("strongly_real", wit_s)) if w},
     )
-    return verdict
-
-
-def aut_generator_maps(G: Group) -> list:
-    """Maps element -> element generating Aut(G), for orbit searches.
-
-    Supported backends only; raises otherwise (orbit reductions must
-    not silently degrade to an incomplete automorphism set).
-    """
-    outer = _outer_generator_maps(G)
-    return [lambda x, g=g: conjugate(G, x, g) for g in G.generators] + outer
-
-
-def _outer_generator_maps(G: Group) -> list:
-    """Maps that generate Aut(G) together with the inner automorphisms."""
-    if isinstance(G, SymmetricGroup):
-        if G.n == 6:
-            raise PreconditionError("degree-6 symmetric group unsupported")
-        return []
-    if isinstance(G, AlternatingGroup):
-        if G.n == 6:
-            raise PreconditionError("degree-6 alternating group unsupported")
-        swap = tuple([1, 0] + list(range(2, G.n)))
-        return [lambda x, s=swap: pmul(s, pmul(x, pinv(s)))]
-    if isinstance(G, SL2Group):
-        w = (0, 1, 1, 0)
-        return [lambda x, w=w: G.mul(w, G.mul(x, (0, 1, 1, 0)))]
-    if isinstance(G, PSL2Group):
-        w = (0, 1, 1, 0)
-        return [lambda x, w=w: psl_canon(G.mul(w, G.mul(x, w)), G.p)]
-    if G.kind == "ab2":
-        from .matgroups import is_prime
-
-        n = G.n
-        if not is_prime(n):
-            raise PreconditionError(
-                "automorphism generators implemented for prime moduli only")
-        prim = _primitive_root(n)
-        mats = [(1, 1, 0, 1), (1, 0, 1, 1), (prim, 0, 0, 1)]
-        return [lambda x, m=m, n=n: (
-            (m[0] * x[0] + m[1] * x[1]) % n,
-            (m[2] * x[0] + m[3] * x[1]) % n,
-        ) for m in mats]
-    raise PreconditionError(f"no automorphism backend for context kind {G.kind!r}")
-
-
-def _primitive_root(p: int) -> int:
-    from .matgroups import _prime_factors
-
-    factors = _prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise InconsistencyError(f"no primitive root mod {p}")
 
 
 class StructureKeys:
@@ -509,7 +434,11 @@ class StructureKeys:
     def __init__(self, G: Group, cap: int = 10**6):
         self._G = G
         self._cap = cap
-        self._outer = _outer_generator_maps(G)
+        outer = backend_for(G).outer
+        if outer is None:
+            raise PreconditionError(
+                f"the outer automorphisms of {G.descriptor()} are not known")
+        self._outer = outer
         self._side_min: dict = {}
 
     def side(self, pair: tuple) -> tuple:
@@ -544,67 +473,55 @@ def reality_mixed(G: Group, u: MixedQuadruple) -> RealityVerdict:
     Automorphisms preserve the even-twist subgroup and split over the
     two components up to a swap and central signs; case patterns whose
     targets leave the twist-2 coset are structurally impossible.  The
-    verdict reduces to per-component coset solves that must agree on
-    one determinant coset.
+    verdict reduces to per-component solves of the SL backend that must
+    agree on one outer label.
     """
     from .constructions import H4
 
     if not isinstance(G, H4) or not isinstance(G.inner, SL2Group):
-        table = _generic_mixed_table(G, u)
-        found = any(sol is not None and sol.labels for sol in table.entries.values())
-        biholo = True if found else None
-        real = biholo if biholo else None
-        return RealityVerdict(biholo, real, None, (table,),
+        table = lemma_case_table(G, (u.a, u.c))
+        biholo = True if table.labels(range(6)) else None
+        return RealityVerdict(biholo, biholo, None, (table,),
                               decided_by="inner-only (incomplete)")
 
-    p = G.inner.p
+    H = G.inner
+    p = H.p
+    solve = backend_for(H).solve
     a1, a2, ta = u.a
     c1, c2, tc = u.c
     if ta != 2 or tc != 2:
         raise PreconditionError("expected twist-2 structure elements on the swap product")
     entries: dict = {}
-    witnesses = {}
     for case in (0, 3):
         if case == 0:
-            first = ((a1, c1), (_sl_inv(a1, p), _sl_inv(c1, p)))
-            second = ((a2, c2), (_sl_inv(a2, p), _sl_inv(c2, p)))
+            first = ((a1, c1), (minv(a1, p), minv(c1, p)))
+            second = ((a2, c2), (minv(a2, p), minv(c2, p)))
         else:
             # psi(a) = c^-1, psi(c) = a^-1 componentwise
-            first = ((a1, c1), (_sl_inv(c1, p), _sl_inv(a1, p)))
-            second = ((a2, c2), (_sl_inv(c2, p), _sl_inv(a2, p)))
-        labels = {}
-        direct_possible = _orders_match(G.inner, first) and _orders_match(G.inner, second)
+            first = ((a1, c1), (minv(c1, p), minv(a1, p)))
+            second = ((a2, c2), (minv(c2, p), minv(a2, p)))
+        labels = set()
+        direct_possible = _orders_match(H, first) and _orders_match(H, second)
         if direct_possible:
-            for coset in _shared_coset_labels(p, first, second):
-                labels[coset] = coset
+            labels |= _shared_labels(H, solve, first, second)
         # Swap-type automorphisms cross the components.
         cross_first = ((a2, c2), first[1])
         cross_second = ((a1, c1), second[1])
-        cross_possible = (_orders_match(G.inner, cross_first)
-                          and _orders_match(G.inner, cross_second))
+        cross_possible = _orders_match(H, cross_first) and _orders_match(H, cross_second)
         if cross_possible:
-            for coset in _shared_coset_labels(p, cross_first, cross_second):
-                labels.setdefault(coset, coset)
+            labels |= _shared_labels(H, solve, cross_first, cross_second)
         if not direct_possible and not cross_possible:
             entries[case] = None
             continue
-        entries[case] = CaseSolution(frozenset(labels), dict(labels), True)
-        if labels:
-            witnesses[f"case-{case}"] = sorted(labels)
+        entries[case] = CaseSolution(frozenset(labels), True)
     for case in (1, 2, 4, 5):
         # Targets involve the twist-0 element a*c: impossible images for
         # twist-2 elements under subgroup-preserving automorphisms.
         entries[case] = None
     table = CaseTable(entries=entries, commuting=G.commutes(u.a, u.c))
-    solvable = [c for c in (0, 3) if entries[c] is not None and entries[c].labels]
-    biholo = bool(solvable)
+    biholo = bool(table.labels((0, 3)))
     real = biholo  # cases 0 and 3 square to the identity transformation
-    return RealityVerdict(biholo, real, None, (table,),
-                          decided_by="component-coset", witnesses=witnesses)
-
-
-def _sl_inv(x, p):
-    return (x[3] % p, (-x[1]) % p, (-x[2]) % p, x[0] % p)
+    return RealityVerdict(biholo, real, None, (table,), decided_by="component-coset")
 
 
 def _orders_match(H: Group, spec) -> bool:
@@ -613,28 +530,20 @@ def _orders_match(H: Group, spec) -> bool:
             and H.element_order(x2) == H.element_order(u2))
 
 
-def _component_solvable(p, spec, coset, sign) -> bool:
+def _component_labels(H, solve, spec, sign) -> frozenset:
     (x1, x2), (u1, u2) = spec
-    su1 = u1 if sign == 1 else mneg(u1, p)
-    su2 = u2 if sign == 1 else mneg(u2, p)
-    return solve_conjugation_sl2(p, x1, su1, x2, su2, coset) is not None
+    if sign == -1:
+        u1, u2 = mneg(u1, H.p), mneg(u2, H.p)
+    return solve(H, x1, x2, u1, u2).labels
 
 
-def _shared_coset_labels(p, first, second) -> list:
-    """Cosets admitting solutions for both components with one shared
-    central sign (the sign comes from a single central involution, so
-    it cannot differ between the components)."""
-    out = []
-    for coset in ("sl", "slw"):
-        if any(
-            _component_solvable(p, first, coset, sign)
-            and _component_solvable(p, second, coset, sign)
-            for sign in (1, -1)
-        ):
-            out.append(coset)
+def _shared_labels(H, solve, first, second) -> frozenset:
+    """Labels realized on both components with one shared central sign
+    (the sign comes from a single central involution, so it cannot
+    differ between the components)."""
+    out = frozenset()
+    for sign in (1, -1):
+        got = _component_labels(H, solve, first, sign)
+        if got:
+            out |= got & _component_labels(H, solve, second, sign)
     return out
-
-
-def _generic_mixed_table(G: Group, u: MixedQuadruple) -> CaseTable:
-    backend = backend_for(G)
-    return lemma_case_table(G, (u.a, u.c), backend)

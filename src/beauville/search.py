@@ -30,7 +30,7 @@ from .constructions import (
     format_descriptor,
     group_from_descriptor,
 )
-from .reality import StructureKeys, aut_generator_maps, reality_unmixed
+from .reality import StructureKeys, reality_unmixed
 from .structures import UnmixedStructure, check_unmixed
 
 DEFAULT_ENUM_CAP = 2500
@@ -332,7 +332,7 @@ def enumerate_unmixed(G: Group, constraints: SearchConstraints | None = None,
     t0 = time.monotonic()
     constraints = constraints or SearchConstraints()
     if constraints.up_to_orbit:
-        aut_generator_maps(G)  # fail fast when no automorphism backend exists
+        StructureKeys(G)  # fail fast when the outer automorphisms are unknown
     idx = IndexedGroup(G, cap=cap)
     structures = []
     complete = True
@@ -341,10 +341,11 @@ def enumerate_unmixed(G: Group, constraints: SearchConstraints | None = None,
         if limit is not None and len(structures) >= limit:
             complete = False
             break
-    structures.sort(key=lambda v: repr((v.a1, v.c1, v.a2, v.c2)))
-
+    # The orbit reduction orders its output itself.
     if constraints.up_to_orbit:
         structures = orbit_representatives(G, structures)
+    else:
+        structures.sort(key=lambda v: repr((v.a1, v.c1, v.a2, v.c2)))
 
     report = _report(G, "enumerate-unmixed", t0,
                      found=len(structures), complete=complete,

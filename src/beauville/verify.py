@@ -176,7 +176,7 @@ def _crit_sym8():
              if pmul(g, pmul(a, pinv(g))) == ai and pmul(g, pmul(c, pinv(g))) == ci]
     if brute:
         return False, f"brute force found an inverting conjugator {brute[0]}"
-    sols = conjugator_search(a, ai, c, ci, ambient="sym")
+    sols = conjugator_search(a, ai, c, ci)
     if sols:
         return False, "centralizer search disagrees with brute force"
     return True, "structure passes via exact sigma; no inverting conjugator among 40320"
@@ -268,9 +268,9 @@ def _crit_alt16_skew():
         return False, "witness does not invert the first element"
     if pmul(w, pmul(pw.c, pinv(w))) != pmul(pw.a, pw.c):
         return False, "witness does not send c to a*c"
-    if conjugator_search(pw.a, pinv(pw.a), pw.c, pinv(pw.c), ambient="sym"):
+    if conjugator_search(pw.a, pinv(pw.a), pw.c, pinv(pw.c)):
         return False, "unexpected simultaneous inversion"
-    if conjugator_search(pw.a, pinv(pw.c), pw.c, pinv(pw.a), ambient="sym"):
+    if conjugator_search(pw.a, pinv(pw.c), pw.c, pinv(pw.a)):
         return False, "unexpected crossed inversion"
     if bsgs_order([pw.a, pw.c]) != math.factorial(16) // 2:
         return False, "generation certificate failed"

@@ -154,3 +154,16 @@ def test_cli_verify_paper_single():
     data = json.loads(proc.stdout)
     assert data["criteria"][0]["ok"] is True
     assert proc.returncode == 0
+
+
+def test_cli_rejects_malformed_caps(monkeypatch, capsys):
+    from beauville.cli import main
+
+    argv = ["check-unmixed", "--group", "ab2:5", "--a1", "(1,0)", "--c1", "(0,1)",
+            "--a2", "(1,2)", "--c2", "(3,4)", "--json"]
+    for entry in ("closure=1e5", "clousre=10", "class", "subgroup=-3"):
+        monkeypatch.setenv("BV_CAPS", f"class=1000,{entry}")
+        assert main(argv) == 64
+        assert repr(entry) in capsys.readouterr().err
+    monkeypatch.setenv("BV_CAPS", "closure=100000, class=1000,")
+    assert main(argv) == 0

@@ -13,11 +13,13 @@ multiplication tables, the refuted-subgroup memo of
 ``IndexedGroup.generates`` and the class-keyed fingerprint buckets are
 checked against the plain builds they replaced.  Pair orbits and
 keyed structure orbits are checked against breadth-first searches that
-apply every generator of the equivalence group at every point.
+apply every generator of the equivalence group at every point.  The
+case labels of SL(2,13) are checked against a sweep over GL(2,13).
 """
 
 import random
 from collections import deque
+from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -42,7 +44,16 @@ from beauville.core import (
     generates,
     orbit,
 )
-from beauville.matgroups import PSL2Group, SL2Group, diag_mat, sl2_constants
+from beauville.matgroups import (
+    PSL2Group,
+    SL2Group,
+    diag_mat,
+    is_square,
+    mdet,
+    minv,
+    mmul,
+    sl2_constants,
+)
 from beauville.perms import (
     AlternatingGroup,
     SymmetricGroup,
@@ -51,12 +62,13 @@ from beauville.perms import (
     parse_cycles,
 )
 from beauville.reality import (
-    AutBackend,
     CaseSolution,
     StructureKeys,
     apply_sigma,
-    aut_generator_maps,
+    backend_for,
+    case_targets,
     it_orbit,
+    lemma_case_table,
     reality_unmixed,
 )
 from beauville.search import (
@@ -482,7 +494,8 @@ def _au_orbit(G, v, cap=10**6):
     """Full orbit of a structure under the equivalence group (per-side
     pair transformations and inner twists, diagonal automorphisms, and
     the pair swap)."""
-    images = partial(_structure_images, G, G.generators, aut_generator_maps(G))
+    auts = [lambda x, g=g: conjugate(G, x, g) for g in G.generators] + backend_for(G).outer
+    images = partial(_structure_images, G, G.generators, auts)
     return orbit([_structure_key(v)], images, cap, "structure orbit")
 
 
@@ -574,7 +587,7 @@ def _no_solutions(G, a, c, u, v):
     """A complete backend's solver that solves no case: the case tables
     never prove biholomorphism, so a swappable structure reaches the
     orbit search."""
-    return CaseSolution(frozenset(), {}, True)
+    return CaseSolution(frozenset(), True)
 
 
 @pytest.mark.parametrize("n,count", [(5, 4), (7, 1)])
@@ -587,7 +600,7 @@ def test_structure_keys_against_brute_force(n, count):
         v = UnmixedStructure(A, *(rng.choice(vectors) for _ in range(4)))
         if check_unmixed(A, v).passed:
             structures.append(v)
-    backend = AutBackend("none", True, _no_solutions)
+    backend = replace(backend_for(A), solve=_no_solutions)
     for v in structures:
         full = _au_orbit(A, v)
         keys = StructureKeys(A)
@@ -600,3 +613,63 @@ def test_structure_keys_against_brute_force(n, count):
             verdict = reality_unmixed(A, v, backend)
             assert verdict.decided_by == "orbit-search"
             assert verdict.biholo_conjugate == (_structure_key(inverted) in full)
+
+
+# -- case labels of SL(2,p) ---------------------------------------------------
+# The labels of a case are the square classes of det g over every g in
+# GL(2,p) that conjugates the pair onto the case's targets: "sl" for a
+# square, "slw" for a non-square (an outer automorphism of SL(2,p)).
+
+
+def _gl2_case_labels(G, pair):
+    """Per case, the square classes of det g over the conjugating g in
+    GL(2,p); scalars fix every conjugate and every square class, so one
+    g per line of scalars suffices."""
+    p = G.p
+    lines = ([(1, b, c, d) for b in range(p) for c in range(p) for d in range(p)
+              if (d - b * c) % p]
+             + [(0, 1, c, d) for c in range(1, p) for d in range(p)])
+    classes: dict = {}
+    for g in lines:
+        gi = minv(g, p)
+        image = tuple(mmul(mmul(g, x, p), gi, p) for x in pair)
+        classes.setdefault(image, set()).add("sl" if is_square(p, mdet(g, p)) else "slw")
+    return [frozenset(classes.get(case_targets(G, i, *pair), ())) for i in range(6)]
+
+
+# Not-biholo structures on SL(2,13) from the hunt with budget 2000.  For
+# the first six, the only solution of a case of one pair conjugates by a
+# non-square determinant; with -1 a square mod 13, conjugation by
+# [[0,1],[1,0]] is inner and missed them.
+_SL2_13_CHANGED = [
+    ((0, 1, 12, 0), (0, 11, 7, 4), (0, 1, 12, 10), (1, 0, 5, 1)),
+    ((0, 1, 12, 10), (1, 0, 5, 1), (0, 1, 12, 0), (0, 11, 7, 4)),
+    ((0, 1, 12, 0), (0, 11, 7, 4), (0, 1, 12, 10), (1, 8, 0, 1)),
+    ((0, 1, 12, 10), (1, 8, 0, 1), (0, 1, 12, 0), (0, 11, 7, 4)),
+    ((0, 1, 12, 0), (0, 11, 7, 4), (0, 1, 12, 10), (10, 10, 1, 5)),
+    ((0, 1, 12, 10), (10, 10, 1, 5), (0, 1, 12, 0), (0, 11, 7, 4)),
+]
+_SL2_13_UNCHANGED = [
+    ((0, 1, 12, 0), (0, 11, 7, 4), (0, 1, 12, 10), (0, 3, 4, 2)),
+    ((0, 1, 12, 10), (0, 3, 4, 2), (0, 1, 12, 0), (0, 11, 7, 4)),
+]
+
+
+@pytest.mark.parametrize("elements, biholo", [(e, True) for e in _SL2_13_CHANGED]
+                         + [(e, False) for e in _SL2_13_UNCHANGED])
+def test_sl2_13_case_labels_against_gl2_sweep(elements, biholo):
+    G = SL2Group(13)
+    v = UnmixedStructure(G, *elements)
+    assert check_unmixed(G, v).passed
+    want = []
+    for pair in ((v.a1, v.c1), (v.a2, v.c2)):
+        table = lemma_case_table(G, pair)
+        got = [sol.labels if sol else frozenset() for _, sol in sorted(table.entries.items())]
+        want.append(_gl2_case_labels(G, pair))
+        assert got == want[-1]
+    # Some outer class solves a case on each side, or none does.
+    assert bool(frozenset().union(*want[0]) & frozenset().union(*want[1])) == biholo
+    if biholo:
+        assert "slw" in frozenset().union(*want[0], *want[1])
+    verdict = reality_unmixed(G, v)
+    assert (verdict.biholo_conjugate, verdict.decided_by) == (biholo, "case-table")

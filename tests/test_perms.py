@@ -115,7 +115,7 @@ def test_centralizer_enumeration_is_the_centralizer():
 def test_conjugator_search_no_inversion_for_sym8_pair():
     a = parse_cycles("(5,4,1)(2,6)", 8)
     c = parse_cycles("(1,2,3)(4,5,6,7,8)", 8)
-    assert conjugator_search(a, pinv(a), c, pinv(c), ambient="sym") == []
+    assert conjugator_search(a, pinv(a), c, pinv(c)) == []
 
 
 def test_conjugator_search_finds_all_solutions():
@@ -135,7 +135,7 @@ def test_conjugator_search_finds_all_solutions():
         h = tuple(img3)
         at = pmul(h, pmul(a, pinv(h)))
         ct = pmul(h, pmul(c, pinv(h)))
-        got = conjugator_search(a, at, c, ct, ambient="sym")
+        got = conjugator_search(a, at, c, ct)
         brute = sorted(g for g in itertools.permutations(range(n))
                        if pmul(g, pmul(a, pinv(g))) == at
                        and pmul(g, pmul(c, pinv(g))) == ct)
@@ -149,7 +149,7 @@ def test_conjugator_quotients_centralize_target():
     h = parse_cycles("(2,4,8)(3,7)", 8)
     at = pmul(h, pmul(a, pinv(h)))
     ct = pmul(h, pmul(c, pinv(h)))
-    sols = conjugator_search(a, at, c, ct, ambient="sym")
+    sols = conjugator_search(a, at, c, ct)
     for g1 in sols:
         for g2 in sols:
             z = pmul(g2, pinv(g1))
@@ -165,7 +165,7 @@ def test_conjugator_search_triple_cycle_data_has_odd_solution():
         a = pmul(a, cycle_to_perm(list(range(start, start + p)), n))
     c = pmul(cycle_to_perm([0] + list(range(p, 1, -1)), n),
              cycle_to_perm([1, p + 1, 3 * p, p + 2, 2 * p + 1], n))
-    sols = conjugator_search(a, pinv(a), c, pinv(c), ambient="sym")
+    sols = conjugator_search(a, pinv(a), c, pinv(c))
     assert sols
     assert any(parity(g) == 1 for g in sols)
     for g in sols:
@@ -173,26 +173,17 @@ def test_conjugator_search_triple_cycle_data_has_odd_solution():
         assert pmul(g, pmul(c, pinv(g))) == pinv(c)
 
 
-def test_conjugator_search_alt_ambient_filters_parity():
-    a = parse_cycles("(1,2,3)", 6)
-    c = parse_cycles("(4,5,6)", 6)
-    all_sols = conjugator_search(a, a, c, c, ambient="sym")
-    even_sols = conjugator_search(a, a, c, c, ambient="alt")
-    assert even_sols == [g for g in all_sols if parity(g) == 0]
-    assert even_sols
-
-
 def test_conjugator_search_degenerate():
     e = identity_perm(5)
     with pytest.raises(DegeneratePair):
-        conjugator_search(e, e, e, e, ambient="sym")
-    assert conjugator_search(e, e, e, parse_cycles("(1,2)", 5), ambient="sym") == []
+        conjugator_search(e, e, e, e)
+    assert conjugator_search(e, e, e, parse_cycles("(1,2)", 5)) == []
 
 
 def test_cycle_type_mismatch_empty():
     a = parse_cycles("(1,2,3)", 6)
     b = parse_cycles("(1,2)", 6)
-    assert conjugator_search(a, b, a, a, ambient="sym") == []
+    assert conjugator_search(a, b, a, a) == []
 
 
 def test_alternating_context_membership():

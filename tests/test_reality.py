@@ -1,8 +1,16 @@
 import random
+from dataclasses import replace
 
 import pytest
 
-from beauville.constructions import Abelian2, Wallpaper, build_h4, dihedral
+from beauville.constructions import (
+    Abelian2,
+    Wallpaper,
+    build_h4,
+    dihedral,
+    group_from_descriptor,
+    parse_descriptor,
+)
 from beauville.core import CapacityExceeded, PreconditionError, generated_subgroup
 from beauville.gallery import (
     alt_pair_skew,
@@ -10,17 +18,22 @@ from beauville.gallery import (
     sl2_pair_555,
     sym_structure,
 )
-from beauville.matgroups import SL2Group, sl2_constants
-from beauville.perms import AlternatingGroup, SymmetricGroup, parse_cycles, pinv, pmul
+from beauville.matgroups import PSL2Group, SL2Group, sl2_constants
+from beauville.perms import (
+    AlternatingGroup,
+    SymmetricGroup,
+    conjugator_search,
+    parity,
+    parse_cycles,
+    pinv,
+    pmul,
+)
 from beauville.reality import (
-    AutBackend,
     CaseSolution,
     StructureKeys,
     apply_sigma,
-    aut_generator_maps,
     backend_for,
     case_targets,
-    iota,
     iota_pair,
     it_orbit,
     lemma_case_table,
@@ -74,7 +87,7 @@ def test_sigma_preserves_generation():
 def test_iota_involution_and_invariants():
     A = Abelian2(5)
     v = UnmixedStructure(A, (1, 0), (0, 1), (1, 2), (3, 4))
-    assert iota(iota(v)) == v
+    assert v.inverted().inverted() == v
     for pair in _random_pairs(A, 20, 7):
         assert pair_metrics(A, *iota_pair(A, pair)).mu == pair_metrics(A, *pair).mu
 
@@ -199,6 +212,20 @@ def test_reality_mixed_compatible_synthetic():
     assert verdict.real is True
 
 
+def test_reality_mixed_outer_class_for_p_1_mod_4():
+    """Over SL(2,13), -1 is a square: the only inversions of this pair
+    conjugate by a non-square determinant (the sl2:13 case labels of
+    tests/test_oracles.py), and the shared label is the outer one."""
+    from beauville.structures import IndexTwoSubgroup, MixedQuadruple
+
+    G = build_h4(SL2Group(13))
+    a1, c1 = (0, 1, 12, 0), (0, 11, 7, 4)
+    M = MixedQuadruple(G, IndexTwoSubgroup.h2_of(G), (a1, a1, 2), (c1, c1, 2), G.coset_rep)
+    verdict = reality_mixed(G, M)
+    assert verdict.tables[0].entries[0].labels == {"slw"}
+    assert verdict.biholo_conjugate is True and verdict.real is True
+
+
 def test_sl2_555_coset_selection():
     from beauville.matgroups import conjugation_cosets, minv
 
@@ -210,21 +237,52 @@ def test_sl2_555_coset_selection():
         assert (sols["slw"] is not None) == (coset == "slw")
 
 
-def test_aut_generator_maps_unsupported():
-    with pytest.raises(PreconditionError):
-        aut_generator_maps(dihedral(5))
-    with pytest.raises(PreconditionError):
-        aut_generator_maps(Abelian2(25))  # composite modulus
+def test_outer_maps_unknown():
+    # Unknown outer maps: no orbit over keys, not a smaller automorphism set.
+    for G in (dihedral(5), Abelian2(25)):  # no backend; composite modulus
+        assert backend_for(G).outer is None
+        with pytest.raises(PreconditionError):
+            StructureKeys(G)
 
 
-def test_aut_generator_maps_are_automorphisms():
-    for G in (Abelian2(5), SymmetricGroup(5), AlternatingGroup(5), SL2Group(5)):
+def test_outer_maps_are_automorphisms():
+    for G in (Abelian2(5), SymmetricGroup(5), AlternatingGroup(5), SL2Group(5),
+              SL2Group(13), PSL2Group(7), PSL2Group(13)):
         els = sorted(generated_subgroup(G, G.generators), key=repr)
         rng = random.Random(1)
-        for f in aut_generator_maps(G):
+        for f in backend_for(G).outer:
+            assert {f(x) for x in els} == set(els)
             for _ in range(20):
                 x, y = rng.choice(els), rng.choice(els)
                 assert f(G.mul(x, y)) == G.mul(f(x), f(y))
+
+
+@pytest.mark.parametrize("desc", ["sl2:5", "sl2:7", "sl2:13", "psl2:7", "psl2:13",
+                                  "alt:5", "alt:7"])
+def test_outer_maps_are_not_inner(desc):
+    # Brute force over G: no element conjugates the generators as the map
+    # does.  For p = 1 mod 4, conjugation by [[0,1],[1,0]] is inner.
+    G = group_from_descriptor(parse_descriptor(desc))
+    outer = backend_for(G).outer
+    assert outer
+    els = generated_subgroup(G, G.generators)
+    for f in outer:
+        images = [f(x) for x in G.generators]
+        assert not any(all(G.mul(g, G.mul(x, G.inv(g))) == y
+                           for x, y in zip(G.generators, images)) for g in els)
+
+
+def test_alt_backend_labels_split_by_parity():
+    # The labels are the parities of the S_n conjugators solving the case.
+    G = AlternatingGroup(8)
+    solve = backend_for(G).solve
+    a = parse_cycles("(1,2,3)", 8)
+    c = parse_cycles("(4,5,6)", 8)  # centralized by the odd (7,8)
+    assert {parity(g) for g in conjugator_search(a, a, c, c)} == {0, 1}
+    assert solve(G, a, c, a, c).labels == {"even", "odd"}
+    c = parse_cycles("(4,5,6,7,8)", 8)
+    assert {parity(g) for g in conjugator_search(a, a, c, c)} == {0}
+    assert solve(G, a, c, a, c).labels == {"even"}
 
 
 def test_backend_rejects_degree_six():
@@ -247,10 +305,27 @@ def test_equal_type_swap_falls_back_to_orbit():
     verdict = reality_unmixed(A, v)
     assert verdict.biholo_conjugate is True
     assert verdict.decided_by == "case-table"
-    unsolved = AutBackend("none", True, lambda G, a, c, u, w: CaseSolution(frozenset(), {}, True))
+    unsolved = replace(backend_for(A), solve=_no_solutions)
     verdict = reality_unmixed(A, v, unsolved)
     assert verdict.decided_by == "orbit-search"
     assert verdict.biholo_conjugate is True
+
+
+def _no_solutions(G, a, c, u, v):
+    return CaseSolution(frozenset(), True)
+
+
+def test_orbit_search_cap_leaves_undecided():
+    # The key orbit of this structure has 320 keys: a smaller orbit_cap
+    # leaves the swap route undecided, never a wrong boolean.
+    A = Abelian2(5)
+    v = UnmixedStructure(A, (1, 0), (0, 1), (1, 2), (3, 4))
+    unsolved = replace(backend_for(A), solve=_no_solutions)
+    capped = reality_unmixed(A, v, unsolved, orbit_cap=319)
+    assert (capped.biholo_conjugate, capped.real) == (None, None)
+    verdict = reality_unmixed(A, v, unsolved, orbit_cap=320)
+    assert verdict.biholo_conjugate is True
+    assert verdict.decided_by == "orbit-search"
 
 
 def test_real_implications_hold():
