@@ -130,131 +130,134 @@ def format_cycles(p: tuple, zero_based: bool = False) -> str:
 # -- stabilizer chain (base and strong generating set) -------------------
 
 
-class _ChainNode:
-    """One level of a stabilizer chain.
+class _Chain:
+    """Stabilizer chain of a group H with grow-only transversals.
 
-    ``gens`` holds only the strong generators first attached here; the
-    group fixing all shallower base points is generated by this node's
-    gens together with every deeper node's (``all_gens``).
+    Level i has base point ``base[i]``, the strong generators first
+    attached there (``gens[i]``) and a transversal of the orbit of
+    ``base[i]`` under the strong generators of levels i and deeper, which
+    fix ``base[:i]``.  They all lie in H, so ``size``, the product of the
+    orbit sizes, never exceeds |H|; after ``complete()`` it equals |H|.
+
+    A strong generator is tagged with the level whose Schreier generator
+    produced it, or -1 if it was inserted.  One tagged t lies in the group
+    the other generators of levels t and deeper generate, so levels 0..t
+    never use it.
     """
 
-    __slots__ = ("n", "base", "gens", "transversal", "_trans_inv", "_tree_edge", "stab")
-
     def __init__(self, n: int):
-        self.n = n
-        self.base: int | None = None
-        self.gens: list = []
-        self.transversal: dict = {}
-        self._trans_inv: dict = {}
-        self._tree_edge: dict = {}
-        self.stab: _ChainNode | None = None
+        self.ident = identity_perm(n)
+        self.base: list = []
+        self.gens: list = []  # per level: (tag, generator) first attached there
+        self.trans: list = []  # per level: orbit point -> u with u(base) = point
+        self.trans_inv: list = []
+        self.size = 1
 
-    def all_gens(self) -> list:
-        out = list(self.gens)
-        if self.stab is not None:
-            out.extend(self.stab.all_gens())
-        return out
+    def sift(self, x: tuple, start: int = 0):
+        """(level, residue): where x, sifted from level ``start`` down,
+        leaves the chain and what is left of it.
 
-    def sift(self, p: tuple) -> tuple:
-        node = self
-        ident = identity_perm(self.n)
-        while node is not None and node.base is not None:
-            u_inv = node._trans_inv.get(p[node.base])
-            if u_inv is None:
-                return p
-            p = pmul(u_inv, p)
-            if p == ident:
-                return p
-            node = node.stab
-        return p
+        A residue that passes every level is returned at level
+        ``len(self.base)``; it is the identity iff x is in the chain.
+        """
+        for i in range(start, len(self.base)):
+            y = x[self.base[i]]
+            if y != self.base[i]:
+                u_inv = self.trans_inv[i].get(y)
+                if u_inv is None:
+                    return i, x
+                x = pmul(u_inv, x)
+        return len(self.base), x
 
-    def add_gen(self, p: tuple):
-        residue = self.sift(p)
-        if residue != identity_perm(self.n):
-            self._add_nonmember(residue)
+    def insert(self, x: tuple) -> bool:
+        """Sift x, an element of H, into the chain; False iff it was in it."""
+        level, residue = self.sift(x)
+        if residue == self.ident:
+            return False
+        self.add(level, residue, -1)
+        return True
 
-    def _add_nonmember(self, p: tuple):
-        if self.base is None:
-            self.base = next(i for i in range(self.n) if p[i] != i)
-            self.stab = _ChainNode(self.n)
-        if p[self.base] == self.base:
-            self.stab.add_gen(p)
-        else:
-            self.gens.append(p)
-        self._rebuild_orbit()
-        # Verify every Schreier generator of this level against the
-        # chain below; non-members recurse downward.  Tree edges are
-        # skipped: their Schreier generator is the identity by
-        # construction of the transversal.
-        gens_snapshot = self.all_gens()
-        ident = identity_perm(self.n)
-        for x in sorted(self.transversal):
-            ux = self.transversal[x]
-            for g in gens_snapshot:
-                y = g[x]
-                edge = self._tree_edge.get(y)
-                if edge is not None and edge[0] == x and edge[1] is g:
-                    continue
-                schreier = pmul(self._trans_inv[y], pmul(g, ux))
-                if schreier != ident:
-                    self.stab.add_gen(schreier)
+    def add(self, level: int, h: tuple, tag: int):
+        if level == len(self.base):
+            b = next(i for i, y in enumerate(h) if y != i)
+            self.base.append(b)
+            self.gens.append([])
+            self.trans.append({b: self.ident})
+            self.trans_inv.append({b: self.ident})
+        self.gens[level].append((tag, h))
+        for i in range(tag + 1, level + 1):
+            self._extend_orbit(i, h)
+        self.size = math.prod(len(t) for t in self.trans)
 
-    def _rebuild_orbit(self):
-        # Not core.orbit: the search records a transversal and tree edges, not only points.
-        ident = identity_perm(self.n)
-        self.transversal = {self.base: ident}
-        self._trans_inv = {self.base: ident}
-        self._tree_edge = {}
-        frontier = [self.base]
-        gens = self.all_gens()
+    def _extend_orbit(self, i: int, h: tuple):
+        # Not core.orbit: the search records a transversal, not only points.
+        # The orbit is closed under the older generators: images under h
+        # come first, then the new points under every generator of the level.
+        trans, trans_inv = self.trans[i], self.trans_inv[i]
+        level_gens = [g for gens in self.gens[i:] for tag, g in gens if tag < i]
+        frontier, gens = list(trans), [h]
         while frontier:
             new = []
             for x in frontier:
-                ux = self.transversal[x]
+                ux = trans[x]
                 for g in gens:
                     y = g[x]
-                    if y not in self.transversal:
+                    if y not in trans:
                         u = pmul(g, ux)
-                        self.transversal[y] = u
-                        self._trans_inv[y] = pinv(u)
-                        self._tree_edge[y] = (x, g)
+                        trans[y] = u
+                        trans_inv[y] = pinv(u)
                         new.append(y)
-            frontier = new
+            frontier, gens = new, level_gens
 
-    @property
-    def order(self) -> int:
-        if self.base is None:
-            return 1
-        return len(self.transversal) * self.stab.order
+    def complete(self):
+        """Make the chain a base and strong generating set (deterministic
+        Schreier-Sims; Holt, Eick and O'Brien, Handbook of Computational
+        Group Theory, 4.4).
 
+        From the deepest level up, each Schreier generator
+        u_{g(x)}^-1 g u_x of a level is sifted from the next level down; a
+        nontrivial residue is added where it drops out, and the walk goes
+        back to that level.  Transversals and generator lists only grow, so
+        ``done`` counts, per level and generator, the orbit points whose
+        Schreier generator is already in the chain.
+        """
+        done: dict = {}
+        i = len(self.base) - 1
+        while i >= 0:
+            i = self._check_level(i, done)
 
-class StabilizerChain:
-    """Deterministic incremental Schreier-Sims."""
-
-    def __init__(self, gens: list):
-        if not gens:
-            raise PreconditionError("empty generator list")
-        self.n = len(gens[0])
-        if any(len(g) != self.n for g in gens):
-            raise PreconditionError("generators have mixed degree")
-        self.root = _ChainNode(self.n)
-        for g in gens:
-            self.root.add_gen(g)
-
-    @property
-    def order(self) -> int:
-        return self.root.order
-
-    def contains(self, g: tuple) -> bool:
-        return self.root.sift(g) == identity_perm(self.n)
+    def _check_level(self, i: int, done: dict) -> int:
+        """The next level to check after the Schreier generators of level i."""
+        trans, trans_inv = self.trans[i], self.trans_inv[i]
+        points = list(trans)
+        for j in range(i, len(self.gens)):
+            for k, (tag, g) in enumerate(self.gens[j]):
+                if tag >= i:
+                    continue
+                for m in range(done.get((i, j, k), 0), len(points)):
+                    x = points[m]
+                    level, residue = self.sift(pmul(trans_inv[g[x]], pmul(g, trans[x])), i + 1)
+                    if residue != self.ident:
+                        done[i, j, k] = m + 1
+                        self.add(level, residue, i)
+                        return level
+                done[i, j, k] = len(points)
+        return i - 1
 
 
 def bsgs_order(gens: list) -> int:
-    """Exact order of <gens> via a base and strong generating set."""
+    """Exact order of <gens>: the chain of the sifted inputs, completed."""
     gens = [tuple(g) for g in gens]
     if not gens:
         return 1
-    return StabilizerChain(gens).order
+    n = len(gens[0])
+    if any(len(g) != n for g in gens):
+        raise PreconditionError("generators have mixed degree")
+    chain = _Chain(n)
+    for g in gens:
+        chain.insert(g)
+    chain.complete()
+    return chain.size
 
 
 # -- known-order generation certificate ------------------------------------
@@ -269,69 +272,6 @@ _CERT_BURN_IN = 40
 # of a uniform element of G is trivial with probability |chain| / |G|,
 # which is at most 1/2 while the certificate is incomplete.
 _CERT_PATIENCE = 12
-
-
-class _PartialChain:
-    """Stabilizer chain grown from sifted elements of a group H.
-
-    Every strong generator lies in H and fixes the base points of the
-    levels above the one it is attached to, so the orbit of each level
-    lies in one orbit of a point stabilizer of H and ``size``, the
-    product of the orbit sizes, never exceeds |H|.
-    """
-
-    def __init__(self, n: int):
-        self.ident = identity_perm(n)
-        self.base: list = []
-        self.gens: list = []  # strong generators first attached per level
-        self.trans: list = []  # per level: orbit point -> u with u(base) = point
-        self.trans_inv: list = []
-        self.size = 1
-
-    def sift(self, x: tuple):
-        """(level, residue): where x leaves the chain and what is left of it.
-
-        A residue that passes every level is returned at level
-        ``len(self.base)``; it is the identity iff x is in the chain.
-        """
-        for i, b in enumerate(self.base):
-            u_inv = self.trans_inv[i].get(x[b])
-            if u_inv is None:
-                return i, x
-            x = pmul(u_inv, x)
-        return len(self.base), x
-
-    def add(self, level: int, h: tuple):
-        if level == len(self.base):
-            b = next(i for i, y in enumerate(h) if y != i)
-            self.base.append(b)
-            self.gens.append([])
-            self.trans.append({b: self.ident})
-            self.trans_inv.append({b: self.ident})
-        self.gens[level].append(h)
-        for i in range(level + 1):
-            self._extend_orbit(i, h)
-        self.size = math.prod(len(t) for t in self.trans)
-
-    def _extend_orbit(self, i: int, h: tuple):
-        # Not core.orbit: the search records a transversal, not only points.
-        # The orbit is closed under the older generators: images under h
-        # come first, then the new points under every generator of the level.
-        trans, trans_inv = self.trans[i], self.trans_inv[i]
-        level_gens = [g for gens in self.gens[i:] for g in gens]
-        frontier, gens = list(trans), [h]
-        while frontier:
-            new = []
-            for x in frontier:
-                ux = trans[x]
-                for g in gens:
-                    y = g[x]
-                    if y not in trans:
-                        u = pmul(g, ux)
-                        trans[y] = u
-                        trans_inv[y] = pinv(u)
-                        new.append(y)
-            frontier, gens = new, level_gens
 
 
 def _product_replacement(gens: list, rng: random.Random):
@@ -362,26 +302,22 @@ def generates_known_order(gens: list, order: int) -> bool:
 
     * a point outside the orbit of 0 makes <gens> intransitive, hence a
       proper subgroup (False);
-    * a ``_PartialChain`` fed with ``gens`` and then with sifted
-      product-replacement elements proves |<gens>| >= ``order`` as soon
-      as the product of its orbit sizes reaches it (True);
-    * after ``_CERT_PATIENCE`` trivial sifts in a row, the deterministic
-      chain ``bsgs_order`` decides.
+    * a ``_Chain`` into which ``gens`` and then product-replacement
+      elements are inserted proves |<gens>| >= ``order`` as soon as the
+      product of its orbit sizes reaches it (True);
+    * after ``_CERT_PATIENCE`` trivial sifts in a row, ``bsgs_order``
+      decides: a fresh chain of ``gens``, completed by deterministic
+      Schreier-Sims.
     """
     gens = [tuple(g) for g in gens]
     n = len(gens[0])
     if len(orbit([0], lambda x: [g[x] for g in gens], n, "point orbit")) < n:
         return False
-    chain = _PartialChain(n)
+    chain = _Chain(n)
     idle = 0
     elements = itertools.chain(gens, _product_replacement(gens, random.Random(_CERT_SEED)))
     while chain.size < order and idle < _CERT_PATIENCE:
-        level, residue = chain.sift(next(elements))
-        if residue == chain.ident:
-            idle += 1
-        else:
-            idle = 0
-            chain.add(level, residue)
+        idle = 0 if chain.insert(next(elements)) else idle + 1
     if chain.size >= order:
         return True
     return bsgs_order(gens) == order

@@ -411,21 +411,19 @@ def check_mixed_vz3(H: Group, a1, c1, a2, c2, perfect: bool = False,
     ord_a1, ord_c1 = H.element_order(a1), H.element_order(c1)
     _condition(report, "even-orders", ord_a1 % 2 == 0 and ord_c1 % 2 == 0,
                "order-arithmetic", f"orders ({ord_a1}, {ord_c1})")
-    from .core import generated_subgroup
-
     pair_strategy = H.generation_certificate
     try:
         if perfect:
+            cid, strategy = "first-pair-generates", f"{pair_strategy} (perfect shortcut)"
             ok = generates(H, a1, c1, cap=closure_cap)
-            _condition(report, "first-pair-generates", ok,
-                       f"{pair_strategy} (perfect shortcut)")
         else:
+            cid, strategy = "squares-generate", "closure"
             closure = generated_subgroup(
                 H, [H.mul(a1, a1), H.mul(a1, c1), H.mul(c1, c1)], cap=closure_cap)
             ok = len(closure) == H.order
-            _condition(report, "squares-generate", ok, "closure")
+        _condition(report, cid, ok, strategy)
     except (CapacityExceeded, UndecidedError):
-        _condition(report, "first-pair-generates", None, "closure", "over cap")
+        _condition(report, cid, None, strategy, "over cap")
     try:
         ok2 = generates(H, a2, c2, cap=closure_cap)
         _condition(report, "second-pair-generates", ok2, pair_strategy)

@@ -142,7 +142,7 @@ def test_chain_certificate_seeded_pairs(G, fallbacks):
     positives = 0
     for _ in range(40):
         a, c = rng.choice(elements), rng.choice(elements)
-        want = perms.StabilizerChain([a, c]).order == G.order
+        want = bsgs_order([a, c]) == G.order
         assert _by_closure(G, a, c) == want
         before = len(fallbacks)
         assert G.generates_pair(a, c) == want, (a, c)

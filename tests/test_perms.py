@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from beauville import perms
 from beauville.core import PreconditionError
 from beauville.perms import (
     AlternatingGroup,
@@ -79,23 +80,62 @@ def test_bsgs_alternating_16():
 
 
 def test_bsgs_vs_closure_on_random_subgroups():
-    rng = random.Random(7)
-    for _ in range(50):
-        gens = []
-        for _ in range(rng.randint(1, 3)):
-            img = list(range(7))
-            rng.shuffle(img)
-            gens.append(tuple(img))
-        seen = {identity_perm(7)}
-        stack = list(seen)
-        while stack:
-            x = stack.pop()
-            for g in gens:
-                y = pmul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        assert bsgs_order(gens) == len(seen)
+    # Degree 8 adds imprimitive groups (S2 wr S4, S4 wr S2) to the intransitive ones.
+    for n in (7, 8):
+        rng = random.Random(7)
+        for _ in range(50):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                img = list(range(n))
+                rng.shuffle(img)
+                gens.append(tuple(img))
+            seen = {identity_perm(n)}
+            stack = list(seen)
+            while stack:
+                x = stack.pop()
+                for g in gens:
+                    y = pmul(x, g)
+                    if y not in seen:
+                        seen.add(y)
+                        stack.append(y)
+            assert bsgs_order(gens) == len(seen)
+
+
+def _wreath(m: int, k: int) -> list:
+    """Generators of S_m wr S_k on k blocks of m consecutive points."""
+    n = m * k
+    swap = list(range(n))
+    for r in range(m):
+        swap[r], swap[m + r] = m + r, r
+    return [cycle_to_perm([0, 1], n), cycle_to_perm(list(range(m)), n), tuple(swap),
+            tuple((x + m) % n for x in range(n))]
+
+
+def test_bsgs_order_wreath_products():
+    assert bsgs_order(_wreath(2, 8)) == 2**8 * math.factorial(8)
+    assert bsgs_order(_wreath(4, 4)) == 24**5
+
+
+def test_chain_completion_sifts_each_schreier_generator_once(monkeypatch):
+    # Transversals and generator lists only grow, so completing a chain
+    # sifts each (level, orbit point, generator) Schreier generator once.
+    sifted = []
+    real = perms._Chain.sift
+
+    def counting(self, x, start=0):
+        sifted.append(start)
+        return real(self, x, start)
+
+    monkeypatch.setattr(perms._Chain, "sift", counting)
+    chain = perms._Chain(16)
+    for g in _wreath(2, 8):
+        chain.insert(g)
+    sifted.clear()
+    chain.complete()
+    assert chain.size == 2**8 * math.factorial(8)
+    pairs = sum(len(chain.trans[i]) * sum(tag < i for gens in chain.gens[i:] for tag, _ in gens)
+                for i in range(len(chain.base)))
+    assert len(sifted) == pairs
 
 
 def test_centralizer_enumeration_is_the_centralizer():

@@ -228,6 +228,20 @@ def test_vz3_examples():
     assert next(c for c in rep_shared.conditions if c.id == "coprime-nu").ok is False
 
 
+def test_vz3_first_condition_named_alike_decided_or_capped():
+    H = dihedral(6)
+    a1, c1 = (1, 1), (0, 1)
+    a2, c2 = H.generators
+    for perfect, want in ((False, ("squares-generate", "closure")),
+                          (True, ("first-pair-generates", "closure (perfect shortcut)"))):
+        decided = check_mixed_vz3(H, a1, c1, a2, c2, perfect=perfect)
+        capped = check_mixed_vz3(H, a1, c1, a2, c2, perfect=perfect, closure_cap=3)
+        assert (decided.conditions[1].id, decided.conditions[1].strategy) == want
+        assert (capped.conditions[1].id, capped.conditions[1].strategy) == want
+        assert decided.conditions[1].ok is not None
+        assert capped.conditions[1].ok is None and capped.conditions[1].detail == "over cap"
+
+
 def test_vz3_quadruple_orders():
     H = SL2Group(11)
     k = sl2_constants(11)
