@@ -467,26 +467,16 @@ def catalogue(max_order: int) -> list:
         out.append({"kind": "dih", "n": n})
     for n in range(2, max_order // 4 + 1):
         out.append({"kind": "dic", "n": n})
-    for desc, order in (
-        ({"kind": "alt", "n": 4}, 12),
-        ({"kind": "sym", "n": 4}, 24),
-        ({"kind": "alt", "n": 5}, 60),
-        ({"kind": "sl2", "p": 3}, 24),
-        ({"kind": "sl2", "p": 5}, 120),
-    ):
-        if order <= max_order:
-            out.append(desc)
-    bases = [
-        ({"kind": "dih", "n": n}, 2 * n) for n in range(3, 9)
-    ] + [
-        ({"kind": "dic", "n": 2}, 8),
-        ({"kind": "dic", "n": 3}, 12),
+    small = [
         ({"kind": "alt", "n": 4}, 12),
         ({"kind": "sym", "n": 4}, 24),
         ({"kind": "alt", "n": 5}, 60),
         ({"kind": "sl2", "p": 3}, 24),
         ({"kind": "sl2", "p": 5}, 120),
     ]
+    out.extend(desc for desc, order in small if order <= max_order)
+    bases = ([({"kind": "dih", "n": n}, 2 * n) for n in range(3, 9)]
+             + [({"kind": "dic", "n": 2}, 8), ({"kind": "dic", "n": 3}, 12)] + small)
     for base, base_order in bases:
         for k in (2, 3, 5, 7):
             if base_order * k <= max_order:

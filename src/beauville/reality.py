@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from .core import (
     CapacityExceeded,
@@ -38,7 +38,6 @@ from .matgroups import (
     inv_mod,
     is_prime,
     is_square,
-    minv,
     mmul,
     mneg,
     solve_conjugation_sl2,
@@ -349,6 +348,18 @@ class RealityVerdict:
         }
 
 
+def _settle(complete: bool, *sides) -> bool | None:
+    """The verdict rule over (table, cases) sides: one automorphism acts
+    on every side, so a label realized on each gives True.  Otherwise an
+    incomplete backend or an undecided entry gives None, and else False.
+    """
+    if frozenset.intersection(*(table.labels(cases) for table, cases in sides)):
+        return True
+    if not complete or not all(table.decided(cases) for table, cases in sides):
+        return None
+    return False
+
+
 def reality_unmixed(G: Group, v: UnmixedStructure,
                     backend: AutBackend | None = None,
                     orbit_cap: int = 10**6) -> RealityVerdict:
@@ -372,20 +383,9 @@ def reality_unmixed(G: Group, v: UnmixedStructure,
     swap_possible = m1.order_multiset() == m2.order_multiset()
 
     all_cases = tuple(range(6))
-
-    def settle(cases1, cases2) -> bool | None:
-        # One automorphism on both sides: a label realized on each.
-        if t1.labels(cases1) & t2.labels(cases2):
-            return True
-        if not backend.complete:
-            return None
-        if not (t1.decided(cases1) and t2.decided(cases2)):
-            return None
-        return False
-
-    biholo = settle(all_cases, all_cases)
-    real = settle(t1.real_cases(), t2.real_cases())
-    strong = settle((0,), (0,))
+    biholo = _settle(backend.complete, (t1, all_cases), (t2, all_cases))
+    real = _settle(backend.complete, (t1, t1.real_cases()), (t2, t2.real_cases()))
+    strong = _settle(backend.complete, (t1, (0,)), (t2, (0,)))
     decided_by = "case-table"
 
     if swap_possible and biholo is False:
@@ -470,80 +470,60 @@ class StructureKeys:
 def reality_mixed(G: Group, u: MixedQuadruple) -> RealityVerdict:
     """Reality decisions for a mixed structure on a swap product over SL.
 
-    Automorphisms preserve the even-twist subgroup and split over the
-    two components up to a swap and central signs; case patterns whose
-    targets leave the twist-2 coset are structurally impossible.  The
-    verdict reduces to per-component solves of the SL backend that must
-    agree on one outer label.
+    Automorphisms preserve the even-twist subgroup, which is
+    H x H x <z> for the central z = (I, I, 2), and split over the two
+    components, directly or crossing them (swap type), with each
+    component image multiplied by a central sign.  The sign is shared:
+    psi(z) = psi(g)^2 for g = (I, I, 1), and the square (y1 y2, y2 y1, 2)
+    of an odd-twist element has conjugate components, so psi(z) is
+    (s, s, 2) for one sign s.  The components must also agree on one
+    outer label.  Over any other group only inner automorphisms are
+    tried, and the verdict is never negative.
     """
     from .constructions import H4
 
     if not isinstance(G, H4) or not isinstance(G.inner, SL2Group):
         table = lemma_case_table(G, (u.a, u.c))
-        biholo = True if table.labels(range(6)) else None
-        return RealityVerdict(biholo, biholo, None, (table,),
-                              decided_by="inner-only (incomplete)")
+        complete, decided_by = False, "inner-only (incomplete)"
+    else:
+        table = _swap_case_table(G, u)
+        complete, decided_by = True, "component-coset"
+    biholo = _settle(complete, (table, range(6)))
+    real = _settle(complete, (table, table.real_cases()))
+    return RealityVerdict(biholo, real, None, (table,), decided_by=decided_by)
 
+
+def _swap_case_table(G, u: MixedQuadruple) -> CaseTable:
+    """Case table of a twist-2 pair on H4(SL(2,p)) from component solves.
+
+    Case 0 or 3 is solved by a (route, sign) whose two component solves
+    share a label.  A (route, sign) is tried only when every source
+    element has the order of its signed target, and a case that none
+    passes is impossible.  Cases 1, 2, 4 and 5 send a twist-2 element
+    to the twist-0 element a*c, which no automorphism does.
+    """
     H = G.inner
     p = H.p
     solve = backend_for(H).solve
-    a1, a2, ta = u.a
-    c1, c2, tc = u.c
+    order = cache(H.element_order)  # each element recurs across cases and signs
+    (a1, a2, ta), (c1, c2, tc) = u.a, u.c
     if ta != 2 or tc != 2:
         raise PreconditionError("expected twist-2 structure elements on the swap product")
-    entries: dict = {}
+    routes = (((a1, c1), (a2, c2)), ((a2, c2), (a1, c1)))  # direct, swap type
+    entries: dict = dict.fromkeys(range(6))
     for case in (0, 3):
-        if case == 0:
-            first = ((a1, c1), (minv(a1, p), minv(c1, p)))
-            second = ((a2, c2), (minv(a2, p), minv(c2, p)))
-        else:
-            # psi(a) = c^-1, psi(c) = a^-1 componentwise
-            first = ((a1, c1), (minv(c1, p), minv(a1, p)))
-            second = ((a2, c2), (minv(c2, p), minv(a2, p)))
-        labels = set()
-        direct_possible = _orders_match(H, first) and _orders_match(H, second)
-        if direct_possible:
-            labels |= _shared_labels(H, solve, first, second)
-        # Swap-type automorphisms cross the components.
-        cross_first = ((a2, c2), first[1])
-        cross_second = ((a1, c1), second[1])
-        cross_possible = _orders_match(H, cross_first) and _orders_match(H, cross_second)
-        if cross_possible:
-            labels |= _shared_labels(H, solve, cross_first, cross_second)
-        if not direct_possible and not cross_possible:
-            entries[case] = None
-            continue
-        entries[case] = CaseSolution(frozenset(labels), True)
-    for case in (1, 2, 4, 5):
-        # Targets involve the twist-0 element a*c: impossible images for
-        # twist-2 elements under subgroup-preserving automorphisms.
-        entries[case] = None
-    table = CaseTable(entries=entries, commuting=G.commutes(u.a, u.c))
-    biholo = bool(table.labels((0, 3)))
-    real = biholo  # cases 0 and 3 square to the identity transformation
-    return RealityVerdict(biholo, real, None, (table,), decided_by="component-coset")
-
-
-def _orders_match(H: Group, spec) -> bool:
-    (x1, x2), (u1, u2) = spec
-    return (H.element_order(x1) == H.element_order(u1)
-            and H.element_order(x2) == H.element_order(u2))
-
-
-def _component_labels(H, solve, spec, sign) -> frozenset:
-    (x1, x2), (u1, u2) = spec
-    if sign == -1:
-        u1, u2 = mneg(u1, H.p), mneg(u2, H.p)
-    return solve(H, x1, x2, u1, u2).labels
-
-
-def _shared_labels(H, solve, first, second) -> frozenset:
-    """Labels realized on both components with one shared central sign
-    (the sign comes from a single central involution, so it cannot
-    differ between the components)."""
-    out = frozenset()
-    for sign in (1, -1):
-        got = _component_labels(H, solve, first, sign)
-        if got:
-            out |= got & _component_labels(H, solve, second, sign)
-    return out
+        targets = (case_targets(H, case, a1, c1), case_targets(H, case, a2, c2))
+        labels, possible = frozenset(), False
+        for signed in (targets, tuple(tuple(mneg(x, p) for x in t) for t in targets)):
+            for sources in routes:
+                if any(order(x) != order(y) for pair, images in zip(sources, signed)
+                       for x, y in zip(pair, images)):
+                    continue
+                possible = True
+                ((x1, y1), (x2, y2)), ((s1, t1), (s2, t2)) = sources, signed
+                got = solve(H, x1, y1, s1, t1).labels
+                if got:
+                    labels |= got & solve(H, x2, y2, s2, t2).labels
+        if possible:
+            entries[case] = CaseSolution(labels, True)
+    return CaseTable(entries=entries, commuting=G.commutes(u.a, u.c))

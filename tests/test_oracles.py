@@ -14,7 +14,9 @@ multiplication tables, the refuted-subgroup memo of
 checked against the plain builds they replaced.  Pair orbits and
 keyed structure orbits are checked against breadth-first searches that
 apply every generator of the equivalence group at every point.  The
-case labels of SL(2,13) are checked against a sweep over GL(2,13).
+case labels of SL(2,13) are checked against a sweep over GL(2,13).  The
+mixed case tables on H4(SL(2,p)) are checked against an extension walk
+on the even-twist subgroup and against a GL(2,p) sweep.
 """
 
 import random
@@ -52,6 +54,7 @@ from beauville.matgroups import (
     mdet,
     minv,
     mmul,
+    mneg,
     sl2_constants,
 )
 from beauville.perms import (
@@ -69,6 +72,7 @@ from beauville.reality import (
     case_targets,
     it_orbit,
     lemma_case_table,
+    reality_mixed,
     reality_unmixed,
 )
 from beauville.search import (
@@ -79,6 +83,8 @@ from beauville.search import (
     orbit_representatives,
 )
 from beauville.structures import (
+    IndexTwoSubgroup,
+    MixedQuadruple,
     UnmixedStructure,
     check_unmixed,
     pair_metrics,
@@ -621,11 +627,10 @@ def test_structure_keys_against_brute_force(n, count):
 # square, "slw" for a non-square (an outer automorphism of SL(2,p)).
 
 
-def _gl2_case_labels(G, pair):
-    """Per case, the square classes of det g over the conjugating g in
-    GL(2,p); scalars fix every conjugate and every square class, so one
-    g per line of scalars suffices."""
-    p = G.p
+def _gl2_conjugates(p, pair):
+    """The square classes of det g over the g in GL(2,p) that conjugate
+    the pair onto each image; scalars fix every conjugate and every
+    square class, so one g per line of scalars suffices."""
     lines = ([(1, b, c, d) for b in range(p) for c in range(p) for d in range(p)
               if (d - b * c) % p]
              + [(0, 1, c, d) for c in range(1, p) for d in range(p)])
@@ -634,6 +639,13 @@ def _gl2_case_labels(G, pair):
         gi = minv(g, p)
         image = tuple(mmul(mmul(g, x, p), gi, p) for x in pair)
         classes.setdefault(image, set()).add("sl" if is_square(p, mdet(g, p)) else "slw")
+    return classes
+
+
+def _gl2_case_labels(G, pair):
+    """Per case, the square classes of det g over the conjugating g in
+    GL(2,p)."""
+    classes = _gl2_conjugates(G.p, pair)
     return [frozenset(classes.get(case_targets(G, i, *pair), ())) for i in range(6)]
 
 
@@ -673,3 +685,134 @@ def test_sl2_13_case_labels_against_gl2_sweep(elements, biholo):
         assert "slw" in frozenset().union(*want[0], *want[1])
     verdict = reality_unmixed(G, v)
     assert (verdict.biholo_conjugate, verdict.decided_by) == (biholo, "case-table")
+
+
+# -- mixed reality on H4(SL(2,p)) ----------------------------------------------
+# The case tables of twist-2 pairs (a, c) on the swap product, against
+# an extension walk that knows nothing of signs, routes or labels, and
+# against a GL(2,p) sweep of the component conjugators.  On these
+# streams a case filter on unsigned orders (a -> u needs ord(a) =
+# ord(u) per component) misses solutions onto minus the targets: it
+# called case 3 impossible for the quadruples 174, 334 and 344 of the
+# p = 3 stream and 24, 128, 199, 263, 270, 281 and 331 of the p = 5
+# stream, and missed the label slw of case 0 for 67 (p = 5) and 79
+# (p = 7).  Of these, 174, 334, 344 and 128 generate the even-twist
+# subgroup.
+
+
+def _twist2_quadruples(p, seed, count):
+    """Seeded component tuples (a1, a2, c1, c2) over SL(2,p) for the
+    twist-2 elements a = (a1, a2, 2), c = (c1, c2, 2)."""
+    elements = sorted(SL2Group(p).elements(), key=repr)
+    rng = random.Random(seed)
+    return [tuple(rng.choice(elements) for _ in range(4)) for _ in range(count)]
+
+
+def _mixed_table(G, a1, a2, c1, c2):
+    M = MixedQuadruple(G, IndexTwoSubgroup.h2_of(G), (a1, a2, 2), (c1, c2, 2), G.coset_rep)
+    return reality_mixed(G, M).tables[0].entries
+
+
+class _TableGroup:
+    """A small group on the ids of its elements, multiplied by table."""
+
+    def __init__(self, H):
+        self.elements = sorted(H.elements(), key=repr)
+        self.index = {x: i for i, x in enumerate(self.elements)}
+        self.table = [[self.index[H.mul(x, y)] for y in self.elements] for x in self.elements]
+        self.inverse = [self.index[H.inv(x)] for x in self.elements]
+        self.identity = self.index[H.identity]
+        self.order = len(self.elements)
+        self.generators = [self.index[g] for g in H.generators]
+
+    def mul(self, x, y):
+        return self.table[x][y]
+
+    def inv(self, x):
+        return self.inverse[x]
+
+
+def _extends(G, a, c, u, v):
+    """Whether a -> u, c -> v extends to an automorphism of the swap
+    product G = H4(H), for (a, c) generating the even-twist subgroup.
+
+    The walk of the Cayley graph of (a, c) sets phi(x a) = phi(x) u and
+    phi(x c) = phi(x) v; it must meet no conflict and be injective.
+    Then psi(g) = y extends phi for g = (1, 1, 1) iff y is odd with
+    y^2 = phi(g^2) and y phi(h) y^-1 = phi(g h g^-1) for h in {a, c}.
+    """
+    mul = G.mul
+    phi = {G.identity: G.identity}
+    queue = deque(phi)
+    while queue:
+        x = queue.popleft()
+        for s, t in ((a, u), (c, v)):
+            y, image = mul(x, s), mul(phi[x], t)
+            if y not in phi:
+                phi[y] = image
+                queue.append(y)
+            elif phi[y] != image:
+                return False
+    if len(set(phi.values())) != len(phi):
+        return False
+    g = (G.inner.identity, G.inner.identity, 1)
+    square = phi[mul(g, g)]
+    moved = [(phi[h], phi[mul(mul(g, h), G.inv(g))]) for h in (a, c)]
+    ids = range(G.inner.order)
+    return any(mul(y, y) == square
+               and all(mul(mul(y, s), G.inv(y)) == t for s, t in moved)
+               for y in ((i, j, odd) for i in ids for j in ids for odd in (1, 3)))
+
+
+@pytest.mark.parametrize("p, seed, picks, generating", [
+    (3, 2007, range(400), 132),
+    # 134 is the one generating quadruple of this stream where a sign
+    # chosen per component would solve a case that one shared sign
+    # does not.
+    (5, 2009, [128, 134], 2),
+])
+def test_mixed_case_tables_against_extension_walk(p, seed, picks, generating):
+    G = build_h4(SL2Group(p))
+    ids = _TableGroup(G.inner)
+    G_ids = build_h4(ids)
+    quadruples = _twist2_quadruples(p, seed, max(picks) + 1)
+    found = 0
+    for k in picks:
+        a1, a2, c1, c2 = quadruples[k]
+        a = (ids.index[a1], ids.index[a2], 2)
+        c = (ids.index[c1], ids.index[c2], 2)
+        if len(generated_subgroup(G_ids, [a, c])) != G.index2_order:
+            continue
+        found += 1
+        entries = _mixed_table(G, a1, a2, c1, c2)
+        got = [bool(entries[i] and entries[i].labels) for i in range(6)]
+        assert got == [_extends(G_ids, a, c, *case_targets(G_ids, i, a, c))
+                       for i in range(6)], k
+    assert found == generating
+
+
+def _gl2_mixed_labels(p, a1, a2, c1, c2):
+    """Per case 0 and 3, the square classes shared by conjugators of the
+    two components onto their targets, over the direct and swap-type
+    routes and one central sign for both components."""
+    H = SL2Group(p)
+    conjugates = (_gl2_conjugates(p, (a1, c1)), _gl2_conjugates(p, (a2, c2)))
+    labels = {}
+    for case in (0, 3):
+        targets = (case_targets(H, case, a1, c1), case_targets(H, case, a2, c2))
+        negated = tuple(tuple(mneg(x, p) for x in t) for t in targets)
+        labels[case] = frozenset().union(*(
+            conjugates[k][s1] & conjugates[1 - k][s2]
+            for s1, s2 in (targets, negated) for k in (0, 1)
+            if s1 in conjugates[k] and s2 in conjugates[1 - k]))
+    return labels
+
+
+@pytest.mark.parametrize("p, count", [(5, 400), (7, 100)])
+def test_mixed_case_labels_against_gl2_sweep(p, count):
+    G = build_h4(SL2Group(p))
+    for k, quadruple in enumerate(_twist2_quadruples(p, 2009, count)):
+        entries = _mixed_table(G, *quadruple)
+        want = _gl2_mixed_labels(p, *quadruple)
+        assert {i: entries[i].labels if entries[i] else frozenset() for i in (0, 3)} == want, k
+        assert all(entries[i] is None for i in (1, 2, 4, 5))

@@ -190,9 +190,33 @@ def test_reality_verdict_json():
 
 def test_reality_mixed_coset_incompatible():
     M = h4_mixed_structure(11)
-    verdict = reality_mixed(M.group, M)
-    assert verdict.biholo_conjugate is False
-    assert verdict.real is False
+    impossible = {"possible": False, "labels": []}
+    assert reality_mixed(M.group, M).to_json() == {
+        "biholo_conjugate": False,
+        "real": False,
+        "strongly_real": None,
+        "decided_by": "component-coset",
+        "cases": [{"0": {"possible": True, "labels": [], "decided": True},
+                   **{str(i): impossible for i in range(1, 6)}}],
+    }
+
+
+def test_reality_mixed_inner_only_real_needs_a_real_case():
+    """Over H4(A4) only inner automorphisms are tried.  Case 4 alone is
+    solved, and it squares to the identity only for a commuting pair, so
+    the pair is biholomorphic to its conjugate but its reality is open.
+    (check_mixed fails it on the conjugate sigma sets: the test pins the
+    verdict rule, not a structure.)"""
+    from beauville.structures import IndexTwoSubgroup, MixedQuadruple
+
+    G = build_h4(AlternatingGroup(4))
+    a = (parse_cycles("(1,4,3)", 4), parse_cycles("(1,3)(2,4)", 4), 2)
+    c = (parse_cycles("(1,2,3)", 4), parse_cycles("(1,4,3)", 4), 0)
+    assert len(generated_subgroup(G, [a, c])) == G.index2_order
+    verdict = reality_mixed(G, MixedQuadruple(G, IndexTwoSubgroup.h2_of(G), a, c, G.coset_rep))
+    entries = verdict.tables[0].entries
+    assert (entries[0].labels, entries[4].labels) == (frozenset(), {"inner"})
+    assert (verdict.biholo_conjugate, verdict.real) == (True, None)
 
 
 def test_reality_mixed_compatible_synthetic():
