@@ -400,11 +400,12 @@ def conjugator_search(
 ) -> list:
     """Complete list of g in S_n with g a g^-1 = a_target, g c g^-1 = c_target.
 
-    Solutions of the first equation form a coset g0 * C(a); the
-    centralizer is enumerated from the cycle structure and filtered by
-    the second equation.  Raises DegeneratePair when both a and c are
-    the identity (the solution set would be the whole of S_n) and
-    CapacityExceeded past ``DEFAULT_CENTRALIZER_CAP``.
+    Solutions of the equation of the element with the smaller
+    centralizer form a coset g0 * C; the centralizer is enumerated from
+    the cycle structure and filtered by the other equation.  Raises
+    DegeneratePair when both a and c are the identity (the solution set
+    would be the whole of S_n) and CapacityExceeded when the smaller
+    centralizer is over ``DEFAULT_CENTRALIZER_CAP``.
     """
     n = len(a)
     ident = identity_perm(n)
@@ -412,8 +413,7 @@ def conjugator_search(
         if a_target == ident and c_target == ident:
             raise DegeneratePair()
         return []
-    if a == ident:
-        # Align on the non-identity element; its centralizer is smaller.
+    if centralizer_size(c) < centralizer_size(a):
         a, a_target, c, c_target = c, c_target, a, a_target
     g0 = find_aligning_conjugator(a, a_target)
     if g0 is None:

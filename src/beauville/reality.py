@@ -139,15 +139,14 @@ class AutBackend:
     """What is known of Aut(G); ``backend_for`` builds it.
 
     ``solve(G, a, c, u, v)`` gives the labels of the automorphisms psi
-    with psi(a) = u, psi(c) = v.  ``complete`` records whether ``solve``
-    covers all of Aut(G); an incomplete backend can certify existence
-    but never absence.  ``outer`` lists maps that generate Aut(G)
-    together with the inner automorphisms, or is None where they are
-    unknown.
+    with psi(a) = u, psi(c) = v.  A solver that does not cover all of
+    Aut(G) can certify existence but never absence, so it marks every
+    case it returns undecided.  ``outer`` lists maps that generate
+    Aut(G) together with the inner automorphisms, or is None where they
+    are unknown.
     """
 
     solve: Callable
-    complete: bool
     outer: list | None
 
 
@@ -228,15 +227,15 @@ def backend_for(G: Group) -> AutBackend:
     - SL(2,p), PSL(2,p): Aut = PGL(2,p); the outer map is conjugation by
       diag(nu, 1), of non-square determinant nu, the least mod p.
     - (Z/n)^2: Aut = GL(2,n); generators are known for prime n only.
-    - Anything else: inner automorphisms only, an incomplete backend.
+    - Anything else: inner automorphisms only, every case undecided.
     """
     if isinstance(G, (SymmetricGroup, AlternatingGroup)) and G.n == 6:
         raise PreconditionError("S_6 and A_6 have an exceptional outer automorphism")
     if isinstance(G, SymmetricGroup):
-        return AutBackend(_sym_solver, True, [])
+        return AutBackend(_sym_solver, [])
     if isinstance(G, AlternatingGroup):
         s = tuple([1, 0] + list(range(2, G.n)))
-        return AutBackend(_alt_solver, True, [lambda x: pmul(s, pmul(x, s))])
+        return AutBackend(_alt_solver, [lambda x: pmul(s, pmul(x, s))])
     if isinstance(G, (SL2Group, PSL2Group)):
         p = G.p
         nu = next(x for x in range(2, p) if not is_square(p, x))
@@ -246,18 +245,18 @@ def backend_for(G: Group) -> AutBackend:
             return G.mul(mmul(d, x, p), di)
 
         lifts = (lambda x: (x,)) if isinstance(G, SL2Group) else (lambda x: (x, mneg(x, p)))
-        return AutBackend(partial(_linear_solver, lifts, outer), True, [outer])
+        return AutBackend(partial(_linear_solver, lifts, outer), [outer])
     if G.kind == "ab2":
         n = G.n
         if not is_prime(n):
-            return AutBackend(_ab2_solver, True, None)
+            return AutBackend(_ab2_solver, None)
         # GL(2,n) is generated by the two transvections and diag(g, 1)
         # for a primitive root g.
         g = next(g for g in range(1, n)
                  if all(pow(g, (n - 1) // q, n) != 1 for q in _prime_factors(n - 1)))
-        return AutBackend(_ab2_solver, True, [_matrix_map(m, n) for m in
-                                              ((1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1))])
-    return AutBackend(_inner_solver, False, None)
+        return AutBackend(_ab2_solver, [_matrix_map(m, n) for m in
+                                        ((1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1))])
+    return AutBackend(_inner_solver, None)
 
 
 # -- case tables -------------------------------------------------------------
@@ -304,21 +303,26 @@ class CaseTable:
         return out
 
 
-def lemma_case_table(G: Group, pair: tuple, backend: AutBackend | None = None) -> CaseTable:
-    """Solvability of the six inversion patterns for a pair."""
+def _case_table(G: Group, pair: tuple, onto: tuple, backend: AutBackend | None) -> CaseTable:
+    """Entry i solves ``pair`` onto ``case_targets(G, i, *onto)``."""
     if backend is None:
         backend = backend_for(G)
     a, c = pair
     orders = {x: G.element_order(x) for x in (a, c)}
     entries: dict = {}
     for i in range(6):
-        u, v = case_targets(G, i, a, c)
+        u, v = case_targets(G, i, *onto)
         # An automorphism preserves element orders.
         if G.element_order(u) != orders[a] or G.element_order(v) != orders[c]:
             entries[i] = None
             continue
         entries[i] = backend.solve(G, a, c, u, v)
     return CaseTable(entries=entries, commuting=G.commutes(a, c))
+
+
+def lemma_case_table(G: Group, pair: tuple, backend: AutBackend | None = None) -> CaseTable:
+    """Solvability of the six inversion patterns for a pair."""
+    return _case_table(G, pair, pair, backend)
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -348,59 +352,47 @@ class RealityVerdict:
         }
 
 
-def _settle(complete: bool, *sides) -> bool | None:
+def _settle(*sides) -> bool | None:
     """The verdict rule over (table, cases) sides: one automorphism acts
     on every side, so a label realized on each gives True.  Otherwise an
-    incomplete backend or an undecided entry gives None, and else False.
+    undecided entry gives None, and else False.
     """
     if frozenset.intersection(*(table.labels(cases) for table, cases in sides)):
         return True
-    if not complete or not all(table.decided(cases) for table, cases in sides):
+    if not all(table.decided(cases) for table, cases in sides):
         return None
     return False
 
 
 def reality_unmixed(G: Group, v: UnmixedStructure,
-                    backend: AutBackend | None = None,
-                    orbit_cap: int = 10**6) -> RealityVerdict:
+                    backend: AutBackend | None = None) -> RealityVerdict:
     """Reality decisions for a checked unmixed structure.
 
-    When the two pairs have distinct order multisets, the pair-swap
-    operation is excluded and the verdict reduces to per-pair case
-    tables joined by outer-label compatibility.  Equal multisets fall
-    back to an orbit search for the conjugate question: is the key of
-    iota(v) in the key orbit of v (``StructureKeys``)?  ``orbit_cap``
-    bounds each side orbit and the key orbit, not the 4-tuples of the
-    orbit; past it the question stays undecided.  Whatever the case
-    tables prove positively still stands.
+    The direct route settles the per-pair case tables, joined by a
+    shared outer label.  When the two pairs have equal order multisets
+    and the direct route fails, the swap route asks for one psi with
+    psi sigma_i(P1) ~ iota(P2) and psi sigma_j(P2) ~ iota(P1).  The
+    sigmas are words in a and c, so they commute with psi, and
+    ``case_targets`` of P2 run over the six sigma-images of iota(P2) up
+    to an inner automorphism: the route is settled by the same rule
+    over the two cross tables, P1 onto P2 and P2 onto P1.
     """
     if backend is None:
         backend = backend_for(G)
-    m1 = pair_metrics(G, v.a1, v.c1)
-    m2 = pair_metrics(G, v.a2, v.c2)
-    t1 = lemma_case_table(G, (v.a1, v.c1), backend)
-    t2 = lemma_case_table(G, (v.a2, v.c2), backend)
-    swap_possible = m1.order_multiset() == m2.order_multiset()
+    p1, p2 = (v.a1, v.c1), (v.a2, v.c2)
+    t1 = lemma_case_table(G, p1, backend)
+    t2 = lemma_case_table(G, p2, backend)
+    swap_possible = (pair_metrics(G, *p1).order_multiset()
+                     == pair_metrics(G, *p2).order_multiset())
 
     all_cases = tuple(range(6))
-    biholo = _settle(backend.complete, (t1, all_cases), (t2, all_cases))
-    real = _settle(backend.complete, (t1, t1.real_cases()), (t2, t2.real_cases()))
-    strong = _settle(backend.complete, (t1, (0,)), (t2, (0,)))
-    decided_by = "case-table"
+    biholo = _settle((t1, all_cases), (t2, all_cases))
+    real = _settle((t1, t1.real_cases()), (t2, t2.real_cases()))
+    strong = _settle((t1, (0,)), (t2, (0,)))
 
     if swap_possible and biholo is False:
-        # The swap route could still produce an equivalence; try a full
-        # orbit search when affordable, otherwise leave undecided.
-        try:
-            keys = StructureKeys(G, orbit_cap)
-            orbit_keys = keys.orbit(v)
-            biholo = keys.key(v.inverted()) in orbit_keys
-            decided_by = "orbit-search"
-            if biholo is False:
-                real = False
-        except (CapacityExceeded, PreconditionError):
-            biholo = None
-            real = None if real is False else real
+        biholo = _settle((_case_table(G, p1, p2, backend), all_cases),
+                         (_case_table(G, p2, p1, backend), all_cases))
     if swap_possible and real is False and biholo is not False:
         # A swap-type rho(v) = iota(v) with rho^2(v) = v is not excluded
         # by the per-pair tables.
@@ -412,7 +404,7 @@ def reality_unmixed(G: Group, v: UnmixedStructure,
         strong = False
     return RealityVerdict(
         biholo_conjugate=biholo, real=real, strongly_real=strong,
-        tables=(t1, t2), decided_by=decided_by,
+        tables=(t1, t2), decided_by="case-table",
     )
 
 
@@ -484,12 +476,12 @@ def reality_mixed(G: Group, u: MixedQuadruple) -> RealityVerdict:
 
     if not isinstance(G, H4) or not isinstance(G.inner, SL2Group):
         table = lemma_case_table(G, (u.a, u.c))
-        complete, decided_by = False, "inner-only (incomplete)"
+        decided_by = "inner-only (incomplete)"
     else:
         table = _swap_case_table(G, u)
-        complete, decided_by = True, "component-coset"
-    biholo = _settle(complete, (table, range(6)))
-    real = _settle(complete, (table, table.real_cases()))
+        decided_by = "component-coset"
+    biholo = _settle((table, range(6)))
+    real = _settle((table, table.real_cases()))
     return RealityVerdict(biholo, real, None, (table,), decided_by=decided_by)
 
 

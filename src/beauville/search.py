@@ -39,11 +39,12 @@ DEFAULT_ENUM_CAP = 2500
 class IndexedGroup:
     """Integer-indexed view of a small group for tight search loops."""
 
-    def __init__(self, ctx: Group, cap: int = DEFAULT_ENUM_CAP):
-        if ctx.order > cap:
-            raise CapacityExceeded("group indexing", cap)
+    def __init__(self, ctx: Group):
+        if ctx.order > DEFAULT_ENUM_CAP:
+            raise CapacityExceeded("group indexing", DEFAULT_ENUM_CAP)
         self.ctx = ctx
-        self.elems = sorted(generated_subgroup(ctx, ctx.generators, cap=cap), key=repr)
+        self.elems = sorted(generated_subgroup(ctx, ctx.generators, cap=DEFAULT_ENUM_CAP),
+                            key=repr)
         self.index = {e: i for i, e in enumerate(self.elems)}
         n = len(self.elems)
         if n != ctx.order:
@@ -326,14 +327,13 @@ def _structure_stream(G: Group, idx: IndexedGroup,
 
 
 def enumerate_unmixed(G: Group, constraints: SearchConstraints | None = None,
-                      limit: int | None = None,
-                      cap: int = DEFAULT_ENUM_CAP) -> EnumerationResult:
+                      limit: int | None = None) -> EnumerationResult:
     """All (or the first ``limit``) unmixed structures on a small group."""
     t0 = time.monotonic()
     constraints = constraints or SearchConstraints()
     if constraints.up_to_orbit:
         StructureKeys(G)  # fail fast when the outer automorphisms are unknown
-    idx = IndexedGroup(G, cap=cap)
+    idx = IndexedGroup(G)
     structures = []
     complete = True
     for v in _structure_stream(G, idx, constraints):
@@ -642,8 +642,7 @@ def wallpaper_scan(d: int, m: int) -> dict:
 # -- reality hunt ---------------------------------------------------------------
 
 
-def hunt_reality(G: Group, want: str, budget: int = 5000,
-                 cap: int = DEFAULT_ENUM_CAP) -> EnumerationResult:
+def hunt_reality(G: Group, want: str, budget: int = 5000) -> EnumerationResult:
     """Structures whose reality verdict matches ``want``.
 
     ``want`` is one of "real", "not-biholo", "biholo-not-real".  Small
@@ -667,8 +666,8 @@ def hunt_reality(G: Group, want: str, budget: int = 5000,
 
     out = []
     complete = True
-    if G.order <= cap:
-        idx = IndexedGroup(G, cap=cap)
+    if G.order <= DEFAULT_ENUM_CAP:
+        idx = IndexedGroup(G)
         by_fp, truncated = _fingerprint_buckets(idx, per_fp_cap=16)
         complete = not truncated
         examined = 0

@@ -13,15 +13,15 @@ multiplication tables, the refuted-subgroup memo of
 ``IndexedGroup.generates`` and the class-keyed fingerprint buckets are
 checked against the plain builds they replaced.  Pair orbits and
 keyed structure orbits are checked against breadth-first searches that
-apply every generator of the equivalence group at every point.  The
-case labels of SL(2,13) are checked against a sweep over GL(2,13).  The
+apply every generator of the equivalence group at every point, and the
+swap route of the unmixed reality verdict against key-orbit membership.
+The case labels of SL(2,13) are checked against a sweep over GL(2,13).  The
 mixed case tables on H4(SL(2,p)) are checked against an extension walk
 on the even-twist subgroup and against a GL(2,p) sweep.
 """
 
 import random
 from collections import deque
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -65,7 +65,6 @@ from beauville.perms import (
     parse_cycles,
 )
 from beauville.reality import (
-    CaseSolution,
     StructureKeys,
     apply_sigma,
     backend_for,
@@ -589,13 +588,6 @@ def test_orbit_representatives_ab2_5_against_brute_force():
             [_structure_key(v) for v in _orbit_representatives(A, sample)]
 
 
-def _no_solutions(G, a, c, u, v):
-    """A complete backend's solver that solves no case: the case tables
-    never prove biholomorphism, so a swappable structure reaches the
-    orbit search."""
-    return CaseSolution(frozenset(), True)
-
-
 @pytest.mark.parametrize("n,count", [(5, 4), (7, 1)])
 def test_structure_keys_against_brute_force(n, count):
     A = Abelian2(n)
@@ -606,7 +598,6 @@ def test_structure_keys_against_brute_force(n, count):
         v = UnmixedStructure(A, *(rng.choice(vectors) for _ in range(4)))
         if check_unmixed(A, v).passed:
             structures.append(v)
-    backend = replace(backend_for(A), solve=_no_solutions)
     for v in structures:
         full = _au_orbit(A, v)
         keys = StructureKeys(A)
@@ -614,11 +605,66 @@ def test_structure_keys_against_brute_force(n, count):
         assert _expand(A, orbit_keys) == full
         inverted = v.inverted()
         assert (keys.key(inverted) in orbit_keys) == (_structure_key(inverted) in full)
-        m1, m2 = (pair_metrics(A, v.a1, v.c1), pair_metrics(A, v.a2, v.c2))
-        if m1.order_multiset() == m2.order_multiset():
-            verdict = reality_unmixed(A, v, backend)
-            assert verdict.decided_by == "orbit-search"
-            assert verdict.biholo_conjugate == (_structure_key(inverted) in full)
+
+
+# -- the swap route of reality_unmixed ----------------------------------------
+# A structure is biholomorphic to its conjugate iff the key of iota(v)
+# lies in the key orbit of v.  Exchange images P2 = g phi sigma_k(iota P1)
+# g^-1 reach the swap route; on S_7 and A_7 a first pair with an empty
+# case table fails the direct route, so the cross tables alone decide.
+
+
+def _generating_pair(G, elements, rng, solved=None):
+    """A seeded generating pair; with ``solved`` set, one whose case
+    table realizes a label (True) or none (False)."""
+    while True:
+        pair = (rng.choice(elements), rng.choice(elements))
+        if G.generates_pair(*pair) and (
+                solved is None or solved == bool(lemma_case_table(G, pair).labels(range(6)))):
+            return pair
+
+
+def _exchange_image(G, elements, rng, pair):
+    f = rng.choice([lambda x: x] + backend_for(G).outer)
+    g = rng.choice(elements)
+    image = apply_sigma(G, rng.randrange(6), (G.inv(pair[0]), G.inv(pair[1])))
+    return tuple(conjugate(G, f(x), g) for x in image)
+
+
+def _equal_multiset_pair(G, elements, rng, pair, solved=None):
+    want = pair_metrics(G, *pair).order_multiset()
+    while True:
+        other = _generating_pair(G, elements, rng, solved)
+        if pair_metrics(G, *other).order_multiset() == want:
+            return other
+
+
+@pytest.mark.parametrize("desc,count", [("sym:5", 10), ("psl2:7", 10), ("sl2:7", 10),
+                                        ("sym:7", 3), ("alt:7", 3)])
+def test_swap_route_against_key_orbits(desc, count):
+    G = group_from_descriptor(parse_descriptor(desc))
+    elements = sorted(generated_subgroup(G, G.generators), key=repr)
+    rng = random.Random(desc)
+    keys = StructureKeys(G)
+    swap_only = G.order > 1000
+    p1 = _generating_pair(G, elements, rng, solved=False if swap_only else None)
+    seconds = [_exchange_image(G, elements, rng, p1) for _ in range(count)]
+    seconds += [_equal_multiset_pair(G, elements, rng, p1) for _ in range(count)]
+    if swap_only:
+        # A solved second table against the empty first one.
+        seconds.append(_equal_multiset_pair(G, elements, rng, p1, solved=True))
+    routes = {}
+    for p2 in seconds:
+        v = UnmixedStructure(G, *p1, *p2)
+        verdict = reality_unmixed(G, v)
+        want = keys.key(v.inverted()) in keys.orbit(v)
+        assert verdict.biholo_conjugate == want, (desc, v)
+        t1, t2 = verdict.tables
+        direct = bool(t1.labels(range(6)) & t2.labels(range(6)))
+        routes[direct, want] = routes.get((direct, want), 0) + 1
+    if swap_only:
+        assert routes.get((False, True), 0) >= count
+        assert routes.get((False, False), 0) >= 1
 
 
 # -- case labels of SL(2,p) ---------------------------------------------------

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -29,7 +28,6 @@ from beauville.perms import (
     pmul,
 )
 from beauville.reality import (
-    CaseSolution,
     StructureKeys,
     apply_sigma,
     backend_for,
@@ -316,11 +314,9 @@ def test_backend_rejects_degree_six():
         backend_for(AlternatingGroup(6))
 
 
-def test_equal_type_swap_falls_back_to_orbit():
+def test_equal_type_swap_decided_by_case_tables():
     # Two pairs of identical type multiset on a small abelian group: the
-    # swap route is available.  The GL(2) backend decides it from the
-    # case tables; a complete backend that solves no case leaves it to
-    # the orbit search, which decides positively.
+    # swap route is available, and the GL(2) case tables decide it.
     A = Abelian2(5)
     v = UnmixedStructure(A, (1, 0), (0, 1), (1, 2), (3, 4))
     m1 = pair_metrics(A, v.a1, v.c1)
@@ -329,27 +325,30 @@ def test_equal_type_swap_falls_back_to_orbit():
     verdict = reality_unmixed(A, v)
     assert verdict.biholo_conjugate is True
     assert verdict.decided_by == "case-table"
-    unsolved = replace(backend_for(A), solve=_no_solutions)
-    verdict = reality_unmixed(A, v, unsolved)
-    assert verdict.decided_by == "orbit-search"
-    assert verdict.biholo_conjugate is True
 
 
-def _no_solutions(G, a, c, u, v):
-    return CaseSolution(frozenset(), True)
+def test_swap_route_on_s10_exchange_image():
+    # The second pair is an exchange image of the first, whose own case
+    # table is empty: only the swap route makes v biholomorphic to its
+    # conjugate.  A key orbit of S_10 would outgrow any practical cap.
+    G = SymmetricGroup(10)
+    p1 = (parse_cycles("(1,2,3,4,5,6,7,8,9,10)", 10), parse_cycles("(1,2,4)(3,7)", 10))
+    assert not lemma_case_table(G, p1).labels(range(6))
+    g = parse_cycles("(1,7,3)(2,10)", 10)
+    p2 = tuple(pmul(g, pmul(x, pinv(g))) for x in apply_sigma(G, 4, iota_pair(G, p1)))
+    verdict = reality_unmixed(G, UnmixedStructure(G, *p1, *p2))
+    assert (verdict.biholo_conjugate, verdict.real, verdict.strongly_real) == (True, None, False)
+    assert verdict.decided_by == "case-table"
 
 
-def test_orbit_search_cap_leaves_undecided():
-    # The key orbit of this structure has 320 keys: a smaller orbit_cap
-    # leaves the swap route undecided, never a wrong boolean.
-    A = Abelian2(5)
-    v = UnmixedStructure(A, (1, 0), (0, 1), (1, 2), (3, 4))
-    unsolved = replace(backend_for(A), solve=_no_solutions)
-    capped = reality_unmixed(A, v, unsolved, orbit_cap=319)
-    assert (capped.biholo_conjugate, capped.real) == (None, None)
-    verdict = reality_unmixed(A, v, unsolved, orbit_cap=320)
-    assert verdict.biholo_conjugate is True
-    assert verdict.decided_by == "orbit-search"
+def test_sym_thm_17_aligns_on_the_smaller_centralizer():
+    # a = (5,4,1)(2,6) fixes 12 of 17 points, so its centralizer in S_17
+    # is far over the enumeration cap; c has a centralizer of order 42.
+    # The conjugator search enumerates the smaller one, and the verdict
+    # is the source's: not biholomorphic to the conjugate.
+    v = sym_structure(17)
+    verdict = reality_unmixed(v.group, v)
+    assert (verdict.biholo_conjugate, verdict.real, verdict.strongly_real) == (False, False, False)
 
 
 def test_real_implications_hold():
