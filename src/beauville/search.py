@@ -56,9 +56,13 @@ class IndexedGroup:
         self.order_of = self._orders()
         self.class_id = self._classes()
         self.power_ids = [self._power_elements(i) for i in range(n)]
-        self.power_classes = [
-            frozenset(self.class_id[j] for j in self.power_ids[i]) for i in range(n)
-        ]
+        # Conjugate elements have conjugate powers, so one set per class,
+        # built from the class's first element, serves all its members.
+        per_class: dict = {}
+        for i, c in enumerate(self.class_id):
+            if c not in per_class:
+                per_class[c] = frozenset(self.class_id[j] for j in self.power_ids[i])
+        self.power_classes = [per_class[c] for c in self.class_id]
         # Subgroups that refuted a pair in ``generates``: their sizes in
         # bit order, each element's mask of the subgroups holding it, and
         # per target size the mask of the kept subgroups below it.
@@ -174,6 +178,11 @@ class IndexedGroup:
             masks[x] |= bit
         return False
 
+    def structure(self, q) -> UnmixedStructure:
+        """The unmixed structure of the id quadruple (i1, j1, i2, j2)."""
+        e = self.elems
+        return UnmixedStructure(self.ctx, e[q[0]], e[q[1]], e[q[2]], e[q[3]])
+
     def hyperbolic(self, i: int, j: int) -> bool:
         r = self.order_of[i]
         s = self.order_of[j]
@@ -255,9 +264,10 @@ def _fingerprint_buckets(idx: IndexedGroup, per_fp_cap: int | None = None):
     return by_fp, truncated
 
 
-def _structure_stream(G: Group, idx: IndexedGroup,
-                      constraints: SearchConstraints, by_fp: dict | None = None):
-    """Yield unmixed structures in deterministic order.
+def _structure_stream(idx: IndexedGroup, constraints: SearchConstraints,
+                      by_fp: dict | None = None):
+    """Yield unmixed structures as id quadruples (i1, j1, i2, j2), in
+    deterministic order; ``idx.structure`` builds the structure of one.
 
     Pairs are pruned by the hyperbolicity bound before any sigma work;
     sigma sets are compared as conjugacy-class fingerprints, and
@@ -321,31 +331,36 @@ def _structure_stream(G: Group, idx: IndexedGroup,
                 for q in generating_pairs(f2, both):
                     for (p1, p2) in ((p, q), (q, p)):
                         if fits(p1, type1) and fits(p2, type2):
-                            yield UnmixedStructure(
-                                G, idx.elems[p1[0]], idx.elems[p1[1]],
-                                idx.elems[p2[0]], idx.elems[p2[1]])
+                            yield p1 + p2
 
 
 def enumerate_unmixed(G: Group, constraints: SearchConstraints | None = None,
                       limit: int | None = None) -> EnumerationResult:
-    """All (or the first ``limit``) unmixed structures on a small group."""
+    """All (or the first ``limit``) unmixed structures on a small group,
+    ordered by the repr of their 4-tuples.
+
+    Ids are assigned in repr order and element reprs are self-delimiting,
+    so sorting the id quadruples gives that order without any repr."""
     t0 = time.monotonic()
+    if limit is not None and limit < 1:
+        raise PreconditionError("limit must be at least 1")
     constraints = constraints or SearchConstraints()
     if constraints.up_to_orbit:
         StructureKeys(G)  # fail fast when the outer automorphisms are unknown
     idx = IndexedGroup(G)
-    structures = []
+    quads = []
     complete = True
-    for v in _structure_stream(G, idx, constraints):
-        structures.append(v)
-        if limit is not None and len(structures) >= limit:
+    for q in _structure_stream(idx, constraints):
+        quads.append(q)
+        if limit is not None and len(quads) >= limit:
             complete = False
             break
     # The orbit reduction orders its output itself.
     if constraints.up_to_orbit:
-        structures = orbit_representatives(G, structures)
+        structures = orbit_representatives(G, [idx.structure(q) for q in quads])
     else:
-        structures.sort(key=lambda v: repr((v.a1, v.c1, v.a2, v.c2)))
+        quads.sort()
+        structures = [idx.structure(q) for q in quads]
 
     report = _report(G, "enumerate-unmixed", t0,
                      found=len(structures), complete=complete,
@@ -416,38 +431,43 @@ def count_abelian(n: int, orbits: bool | None = None) -> AbelianCount:
     coprime to 6 admit no structure and return zero with a note.  The
     orbit count enumerates all structures and reduces them modulo the
     equivalence action (prime n only; on by default for n <= 5).
+
+    The t-conditions of each (x, y, z) are one AND of n-bit masks:
+    bit t of ``unit_at[k]`` says whether t - k is a unit, and each
+    condition is such a shift.  With x a unit, x*t - y*z is a unit
+    exactly when t - y*z/x is.
     """
     if n < 2:
         raise PreconditionError("modulus must be >= 2")
     if math.gcd(n, 6) != 1:
         return AbelianCount(n, 0, 0, note="modulus shares a factor with 6; no structures exist")
-    count = 0
-    for x in range(1, n):
-        if math.gcd(x, n) != 1:
-            continue
-        for y in range(1, n):
-            if math.gcd(y, n) != 1 or math.gcd(x - y, n) != 1:
-                continue
-            for z in range(1, n):
-                if math.gcd(z, n) != 1 or math.gcd(x + z, n) != 1:
-                    continue
-                for t in range(1, n):
-                    if (
-                        math.gcd(t, n) == 1
-                        and math.gcd(z - t, n) == 1
-                        and math.gcd(y + t, n) == 1
-                        and math.gcd(x + z - y - t, n) == 1
-                        and math.gcd(x * t - y * z, n) == 1
-                    ):
-                        count += 1
     if orbits is None:
         orbits = n <= 5
-    orbit_count = None
     if orbits:
         from .matgroups import is_prime
 
         if not is_prime(n):
             raise PreconditionError("orbit counting implemented for prime moduli only")
+    unit = [math.gcd(v, n) == 1 for v in range(n)]
+    unit_at = [sum(1 << t for t in range(n) if unit[(t - k) % n]) for k in range(n)]
+    units = [v for v in range(1, n) if unit[v]]
+    count = 0
+    for x in units:
+        x_inv = pow(x, -1, n)
+        for y in units:
+            if not unit[(x - y) % n]:
+                continue
+            # t and y + t units
+            t_mask = unit_at[0] & unit_at[-y % n]
+            y_over_x = y * x_inv
+            for z in units:
+                if not unit[(x + z) % n]:
+                    continue
+                # z - t, (x + z - y) - t and x*t - y*z units
+                count += (t_mask & unit_at[z] & unit_at[(x + z - y) % n]
+                          & unit_at[y_over_x * z % n]).bit_count()
+    orbit_count = None
+    if orbits:
         res = enumerate_unmixed(Abelian2(n),
                                 SearchConstraints(up_to_orbit=True))
         orbit_count = len(res.structures)
@@ -475,8 +495,9 @@ def scan_catalogue(max_order: int, mode: str) -> dict:
         name = format_descriptor(desc)
         scanned.append(name)
         if mode == "unmixed":
-            first = next(_structure_stream(G, IndexedGroup(G), SearchConstraints()), None)
-            hits = [] if first is None else [first]
+            idx = IndexedGroup(G)
+            first = next(_structure_stream(idx, SearchConstraints()), None)
+            hits = [] if first is None else [idx.structure(first)]
         else:
             hits = _scan_group_mixed(G)
         for h in hits:
@@ -671,11 +692,12 @@ def hunt_reality(G: Group, want: str, budget: int = 5000) -> EnumerationResult:
         by_fp, truncated = _fingerprint_buckets(idx, per_fp_cap=16)
         complete = not truncated
         examined = 0
-        for v in _structure_stream(G, idx, SearchConstraints(), by_fp):
+        for q in _structure_stream(idx, SearchConstraints(), by_fp):
             if examined >= budget:
                 complete = False
                 break
             examined += 1
+            v = idx.structure(q)
             if matches(reality_unmixed(G, v)):
                 out.append(v)
     else:

@@ -147,6 +147,9 @@ def test_cli_usage_errors():
     assert run_bv("nope").returncode == 64
     assert run_bv("check-unmixed").returncode == 64
     assert run_bv("gallery", "sym-thm", "--n", "9").returncode == 64
+    for limit in ("0", "-1"):
+        proc = run_bv("search", "--group", "ab2:5", "--limit", limit, "--json")
+        assert proc.returncode == 64 and proc.stdout == ""
 
 
 def test_cli_verify_paper_single():

@@ -10,8 +10,9 @@ conjugacy-class search.  The
 unmixed catalogue scan is checked against a brute force that uses
 neither the indexed tables nor fingerprint buckets.  The composed
 multiplication tables, the refuted-subgroup memo of
-``IndexedGroup.generates`` and the class-keyed fingerprint buckets are
-checked against the plain builds they replaced.  Pair orbits and
+``IndexedGroup.generates``, the class-keyed fingerprint buckets, the
+per-class power fingerprints and the id-ordered enumeration are checked
+against the plain builds they replaced.  Pair orbits and
 keyed structure orbits are checked against breadth-first searches that
 apply every generator of the equivalence group at every point, and the
 swap route of the unmixed reality verdict against key-orbit membership.
@@ -23,6 +24,7 @@ on the even-twist subgroup and against a GL(2,p) sweep.
 import random
 from collections import deque
 from functools import partial
+from itertools import islice
 
 import pytest
 
@@ -76,8 +78,10 @@ from beauville.reality import (
 )
 from beauville.search import (
     IndexedGroup,
+    SearchConstraints,
     _fingerprint_buckets,
     _index2_subgroups,
+    _structure_stream,
     enumerate_unmixed,
     orbit_representatives,
 )
@@ -460,6 +464,36 @@ def test_class_keyed_fingerprints_against_pairs(desc):
         want, want_truncated = _fingerprint_buckets_by_pairs(idx, per_fp_cap=cap)
         assert list(got.items()) == list(want.items())
         assert got_truncated == want_truncated
+
+
+def test_per_class_power_classes_against_per_element():
+    for desc in catalogue(64):
+        idx = IndexedGroup(group_from_descriptor(desc))
+        want = [frozenset(idx.class_id[j] for j in idx.power_ids[i])
+                for i in range(len(idx.elems))]
+        assert idx.power_classes == want, format_descriptor(desc)
+
+
+@pytest.mark.parametrize("desc", ["sym:5", "alt:5", "sl2:5", "psl2:7", "ab2:11", "dih:12",
+                                  "wallpaper:3:4", "h4:dih:3"])
+def test_element_reprs_are_self_delimiting(desc):
+    # Ids follow repr order, so id quadruples sort as the reprs of their
+    # 4-tuples when no repr is a proper prefix of another.  A string
+    # between a prefix and its extension shares the prefix, so checking
+    # neighbours in sorted order covers every pair.
+    reprs = [repr(x) for x in IndexedGroup(group_from_descriptor(parse_descriptor(desc))).elems]
+    assert reprs == sorted(set(reprs))
+    assert not any(b.startswith(a) for a, b in zip(reprs, reprs[1:]))
+
+
+@pytest.mark.parametrize("desc,limit", [("ab2:5", None), ("sym:5", None), ("psl2:7", 50)])
+def test_id_order_is_repr_order(desc, limit):
+    G = group_from_descriptor(parse_descriptor(desc))
+    idx = IndexedGroup(G)
+    stream = [idx.structure(q)
+              for q in islice(_structure_stream(idx, SearchConstraints()), limit)]
+    want = sorted(stream, key=lambda v: repr((v.a1, v.c1, v.a2, v.c2)))
+    assert enumerate_unmixed(G, limit=limit).structures == want
 
 
 # -- equivalence orbits -------------------------------------------------------

@@ -1,4 +1,6 @@
+import math
 import random
+from itertools import product
 
 import pytest
 
@@ -128,27 +130,37 @@ def test_enumerate_type_filter():
                    for v in res.structures)
 
 
+def test_enumerate_rejects_limit_below_one():
+    for limit in (0, -1):
+        with pytest.raises(PreconditionError):
+            enumerate_unmixed(Abelian2(5), limit=limit)
+
+
 def test_enumerate_up_to_orbit_requires_backend():
     with pytest.raises(PreconditionError):
         enumerate_unmixed(dihedral(6), SearchConstraints(up_to_orbit=True))
 
 
 def test_count_abelian_against_brute_oracle():
-    # independent transcription of the unit conditions
-    def oracle(p):
-        n = 0
-        for x in range(1, p):
-            for y in range(1, p):
-                for z in range(1, p):
-                    for t in range(1, p):
-                        vals = (x, y, z, t, x - y, x + z, z - t, y + t,
-                                x + z - y - t, x * t - y * z)
-                        if all(v % p for v in vals):
-                            n += 1
-        return n
+    # independent transcription of the unit conditions; a unit is a
+    # residue prime to n, which for composite n is more than nonzero
+    def oracle(n):
+        count = 0
+        for x, y, z, t in product(range(1, n), repeat=4):
+            vals = (x, y, z, t, x - y, x + z, z - t, y + t,
+                    x + z - y - t, x * t - y * z)
+            if all(math.gcd(v, n) == 1 for v in vals):
+                count += 1
+        return count
 
-    for p in (5, 7):
-        assert count_abelian(p, orbits=False).solutions == oracle(p)
+    for n in (5, 7, 11, 25, 35):
+        assert count_abelian(n, orbits=False).solutions == oracle(n)
+
+
+def test_count_abelian_orbits_need_a_prime_before_counting():
+    # 1001 = 7 * 11 * 13: counting first would take minutes.
+    with pytest.raises(PreconditionError):
+        count_abelian(1001, orbits=True)
 
 
 def test_count_abelian_values():
@@ -247,7 +259,9 @@ def test_hunt_reality_truncated_buckets_are_not_complete():
     from beauville.reality import reality_unmixed
     from beauville.search import _structure_stream
 
-    first = list(islice(_structure_stream(G, IndexedGroup(G), SearchConstraints()), 10))
+    idx = IndexedGroup(G)
+    first = [idx.structure(q)
+             for q in islice(_structure_stream(idx, SearchConstraints()), 10)]
     assert len(first) == 10
     assert all(reality_unmixed(G, v).real is True for v in first)
 
