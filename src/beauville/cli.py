@@ -134,9 +134,10 @@ def cmd_gallery(args) -> int:
     func, params = GALLERY[args.name]
     kwargs = {}
     for param in params:
-        val = getattr(args, param if param not in ("case",) else "mode", None)
+        flag = "mode" if param == "case" else param
+        val = getattr(args, flag, None)
         if val is None:
-            print(f"gallery {args.name} needs --{param}", file=sys.stderr)
+            print(f"gallery {args.name} needs --{flag}", file=sys.stderr)
             return EXIT_USAGE
         kwargs[param] = val
     obj = func(**kwargs)

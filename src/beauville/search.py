@@ -49,13 +49,13 @@ class IndexedGroup:
         n = len(self.elems)
         if n != ctx.order:
             raise PreconditionError("generator closure does not match the stated order")
-        idx = self.index
-        self.id_index = idx[ctx.identity]
+        self.id_index = self.index[ctx.identity]
         self.mul_row = self._regular_rows()
-        self.inv = [idx[ctx.inv(x)] for x in self.elems]
-        self.order_of = self._orders()
-        self.class_id = self._classes()
         self.power_ids = [self._power_elements(i) for i in range(n)]
+        # power_ids[i] = (e, x, ..., x^(k-1)) holds the order k and the inverse.
+        self.order_of = [len(p) for p in self.power_ids]
+        self.inv = [p[-1] for p in self.power_ids]
+        self.class_id = self._classes()
         # Conjugate elements have conjugate powers, so one set per class,
         # built from the class's first element, serves all its members.
         per_class: dict = {}
@@ -92,17 +92,6 @@ class IndexedGroup:
                     rows[y] = [rx[k] for k in rg]
                     queue.append(y)
         return rows
-
-    def _orders(self):
-        out = [0] * len(self.elems)
-        e = self.id_index
-        for i in range(len(self.elems)):
-            k, acc = 1, i
-            while acc != e:
-                acc = self.mul_row[acc][i]
-                k += 1
-            out[i] = k
-        return out
 
     def _classes(self):
         n = len(self.elems)
@@ -206,6 +195,12 @@ class SearchConstraints:
     type2: tuple | None = None
     up_to_orbit: bool = False
 
+    def __post_init__(self):
+        for t in (self.type1, self.type2):
+            if t is not None and not (type(t) is tuple and len(t) == 3
+                                      and all(type(k) is int and k > 0 for k in t)):
+                raise PreconditionError(f"a type filter is three positive integers, not {t!r}")
+
 
 @dataclass
 class EnumerationResult:
@@ -279,8 +274,7 @@ def _structure_stream(idx: IndexedGroup, constraints: SearchConstraints,
     if by_fp is None:
         by_fp, _ = _fingerprint_buckets(idx)
     id_class = {idx.class_id[idx.id_index]}
-    type1, type2 = (None if t is None else tuple(t)
-                    for t in (constraints.type1, constraints.type2))
+    type1, type2 = constraints.type1, constraints.type2
 
     def type_of(i, j):
         return (idx.order_of[i], idx.order_of[j], idx.order_of[idx.mul_row[i][j]])
@@ -546,55 +540,29 @@ def _scan_group_mixed(G: Group) -> list:
 
 
 def _index2_subgroups(idx: IndexedGroup) -> list:
-    """Index-2 subgroups, via the subgroup generated by all squares."""
-    n = len(idx.elems)
-    squares = sorted({idx.mul_row[x][x] for x in range(n)})
-    # Inline, not orbit(): a callback per node slowed the mixed 136 scan by 10-20%.
-    closure = {idx.id_index}
-    queue = deque([idx.id_index])
-    while queue:
-        x = queue.popleft()
-        for s in squares:
-            y = idx.mul_row[x][s]
-            if y not in closure:
-                closure.add(y)
-                queue.append(y)
-    if len(closure) == n:
-        return []
-    # Coset space is an elementary abelian 2-group.
-    coset_of = [-1] * n
-    reps = []
-    for x in range(n):
-        if coset_of[x] >= 0:
-            continue
-        rep_id = len(reps)
-        reps.append(x)
-        xi = idx.inv[x]
-        for y in range(n):
-            if coset_of[y] < 0 and idx.mul_row[xi][y] in closure:
-                coset_of[y] = rep_id
-    k = len(reps)
-    # Label cosets by GF(2) vectors via a greedy basis.
-    vec = {0: 0}
-    basis = []
-    for r in range(1, k):
-        if r in vec:
-            continue
-        basis.append(r)
-        new = {}
-        for known, v in vec.items():
-            prod = coset_of[idx.mul_row[reps[known]][reps[r]]]
-            new[prod] = v | (1 << (len(basis) - 1))
-        vec.update(new)
-    dim = len(basis)
+    """Index-2 subgroups, as the kernels of the homomorphisms onto Z/2: a
+    nonzero sign on the generators extends to one exactly when the walk of
+    the Cayley graph setting sign(x*g) = sign(x) xor sign(g) never conflicts."""
+    e = idx.id_index
+    gens = [g for g in dict.fromkeys(idx.index[g] for g in idx.ctx.generators) if g != e]
     out = []
-    for functional in range(1, 1 << dim):
-        members = frozenset(
-            x for x in range(n)
-            if bin(vec[coset_of[x]] & functional).count("1") % 2 == 0
-        )
-        if 2 * len(members) == n:
-            out.append(members)
+    for vector in range(1, 1 << len(gens)):
+        edges = [(g, (vector >> b) & 1) for b, g in enumerate(gens)]
+        sign = [-1] * len(idx.elems)
+        sign[e] = 0
+        queue = deque([e])
+        extends = True
+        while queue and extends:
+            x = queue.popleft()
+            for g, s in edges:
+                y = idx.mul_row[x][g]
+                if sign[y] < 0:
+                    sign[y] = sign[x] ^ s
+                    queue.append(y)
+                elif sign[y] != sign[x] ^ s:
+                    extends = False
+        if extends:
+            out.append(frozenset(x for x, s in enumerate(sign) if not s))
     return sorted(out, key=sorted)
 
 
@@ -670,13 +638,15 @@ def hunt_reality(G: Group, want: str, budget: int = 5000) -> EnumerationResult:
     groups are searched through the structure stream with at most 16
     pairs kept per fingerprint, so the report is complete only when that
     cap dropped no pair and the stream ran out within ``budget``; larger
-    supported families fall back to a deterministic stream of
-    gallery-style candidates (the exhaustive search space is out of
-    reach there).
+    supported families fall back to a deterministic stream of at most
+    ``budget`` gallery-style candidates (the exhaustive search space is
+    out of reach there).  ``budget`` must be at least 1.
     """
     t0 = time.monotonic()
     if want not in ("real", "not-biholo", "biholo-not-real"):
         raise PreconditionError(f"unknown reality filter {want!r}")
+    if budget < 1:
+        raise PreconditionError("budget must be at least 1")
 
     def matches(verdict) -> bool:
         if want == "real":

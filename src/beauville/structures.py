@@ -395,14 +395,14 @@ def check_mixed(G: Group, M: MixedQuadruple,
     return _settle(report)
 
 
-def check_mixed_vz3(H: Group, a1, c1, a2, c2, perfect: bool = False,
+def check_mixed_vz3(H: Group, a1, c1, a2, c2,
                     closure_cap: int = DEFAULT_CLOSURE_CAP) -> CheckReport:
     """Inner criteria certifying a mixed structure on the swap product.
 
     A pass certifies that ((a1, a2, 2), (c1, c2, 2)) with the even-twist
     subgroup is a mixed structure on H4(H) without touching the big
     group: a1 and c1 have even order; a1^2, a1*c1, c1^2 generate H (or
-    a1, c1 alone when H is perfect); a2, c2 generate H; and the two nu
+    a1, c1 alone when ``H.perfect``, which has no index-2 subgroup); a2, c2 generate H; and the two nu
     values are coprime.
     """
     report = CheckReport(verdict="undecided")
@@ -413,7 +413,7 @@ def check_mixed_vz3(H: Group, a1, c1, a2, c2, perfect: bool = False,
                "order-arithmetic", f"orders ({ord_a1}, {ord_c1})")
     pair_strategy = H.generation_certificate
     try:
-        if perfect:
+        if H.perfect:
             cid, strategy = "first-pair-generates", f"{pair_strategy} (perfect shortcut)"
             ok = generates(H, a1, c1, cap=closure_cap)
         else:

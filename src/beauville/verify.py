@@ -281,8 +281,7 @@ def _crit_mixed_11():
     consts = sl2_constants(11)
     H = SL2Group(11)
     second = gallery.sl2_pair_555(11, "sl")
-    rep = check_mixed_vz3(H, consts["B"], consts["S"], second.a, second.c,
-                          perfect=True)
+    rep = check_mixed_vz3(H, consts["B"], consts["S"], second.a, second.c)
     if not rep.passed:
         return False, f"inner criteria: {rep.verdict}"
     M = gallery.h4_mixed_structure(11)

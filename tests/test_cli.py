@@ -150,6 +150,19 @@ def test_cli_usage_errors():
     for limit in ("0", "-1"):
         proc = run_bv("search", "--group", "ab2:5", "--limit", limit, "--json")
         assert proc.returncode == 64 and proc.stdout == ""
+    for flags in (("--type1", "3,3"), ("--type2", "3,0,5")):
+        proc = run_bv("search", "--group", "sl2:5", *flags, "--json")
+        assert proc.returncode == 64 and proc.stdout == ""
+    for budget in ("0", "-1"):
+        proc = run_bv("hunt-reality", "--group", "sym:8", "--want", "not-biholo",
+                      "--budget", budget, "--json")
+        assert proc.returncode == 64 and proc.stdout == ""
+
+
+def test_cli_gallery_names_the_parser_flag():
+    proc = run_bv("gallery", "sl2-q1q2", "--p", "71", "--q1", "5", "--q2", "7")
+    assert proc.returncode == 64
+    assert "--mode" in proc.stderr and "--case" not in proc.stderr
 
 
 def test_cli_verify_paper_single():

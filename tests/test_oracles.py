@@ -9,10 +9,11 @@ labels, and the sigma test built on them, are checked against the
 conjugacy-class search.  The
 unmixed catalogue scan is checked against a brute force that uses
 neither the indexed tables nor fingerprint buckets.  The composed
-multiplication tables, the refuted-subgroup memo of
-``IndexedGroup.generates``, the class-keyed fingerprint buckets, the
-per-class power fingerprints and the id-ordered enumeration are checked
-against the plain builds they replaced.  Pair orbits and
+multiplication tables, the inverses and orders read off the power walk,
+the refuted-subgroup memo of ``IndexedGroup.generates``, the class-keyed
+fingerprint buckets, the per-class power fingerprints, the id-ordered
+enumeration and the sign-map index-2 subgroups are checked against the
+plain builds they replaced.  Pair orbits and
 keyed structure orbits are checked against breadth-first searches that
 apply every generator of the equivalence group at every point, and the
 swap route of the unmixed reality verdict against key-orbit membership.
@@ -433,9 +434,81 @@ _TABLE_FLEET = ([group_from_descriptor(d) for d in catalogue(128)]
 
 
 def test_composed_tables_against_mul():
+    # The power walk gives inverses and orders; ctx.inv and
+    # ctx.element_order know nothing of it.
     for G in _TABLE_FLEET:
         idx = IndexedGroup(G)
         assert idx.mul_row == _mul_table(idx), G.descriptor()
+        assert idx.inv == [idx.index[G.inv(x)] for x in idx.elems], G.descriptor()
+        assert idx.order_of == [G.element_order(x) for x in idx.elems], G.descriptor()
+
+
+def _index2_subgroups_by_squares(idx):
+    """The square-closure build that the sign-map walk replaced: the
+    squares generate the intersection of all index-2 subgroups, the
+    quotient by it is elementary abelian, and each nonzero GF(2)
+    functional on a coset basis has one of the subgroups as kernel."""
+    n = len(idx.elems)
+    squares = sorted({idx.mul_row[x][x] for x in range(n)})
+    closure = {idx.id_index}
+    queue = deque([idx.id_index])
+    while queue:
+        x = queue.popleft()
+        for s in squares:
+            y = idx.mul_row[x][s]
+            if y not in closure:
+                closure.add(y)
+                queue.append(y)
+    if len(closure) == n:
+        return []
+    coset_of = [-1] * n
+    reps = []
+    for x in range(n):
+        if coset_of[x] >= 0:
+            continue
+        rep_id = len(reps)
+        reps.append(x)
+        xi = idx.inv[x]
+        for y in range(n):
+            if coset_of[y] < 0 and idx.mul_row[xi][y] in closure:
+                coset_of[y] = rep_id
+    k = len(reps)
+    vec = {0: 0}
+    basis = []
+    for r in range(1, k):
+        if r in vec:
+            continue
+        basis.append(r)
+        new = {}
+        for known, v in vec.items():
+            prod = coset_of[idx.mul_row[reps[known]][reps[r]]]
+            new[prod] = v | (1 << (len(basis) - 1))
+        vec.update(new)
+    dim = len(basis)
+    out = []
+    for functional in range(1, 1 << dim):
+        members = frozenset(
+            x for x in range(n)
+            if bin(vec[coset_of[x]] & functional).count("1") % 2 == 0
+        )
+        if 2 * len(members) == n:
+            out.append(members)
+    return sorted(out, key=sorted)
+
+
+_INDEX2_FLEET = ([group_from_descriptor(d) for d in catalogue(128)]
+                 + [build_h4(SL2Group(3)), _PaddedGenerators(4)]
+                 + [group_from_descriptor(parse_descriptor(d)) for d in ("ab2:4", "ab2:6")]
+                 + [group_from_descriptor({"kind": "prod", "factors": [
+                     {"kind": "dih", "n": 4}, {"kind": "cyc", "n": 2}, {"kind": "cyc", "n": 2}]})])
+
+
+def test_index2_subgroups_against_square_closure():
+    for G in _INDEX2_FLEET:
+        idx = IndexedGroup(G)
+        assert _index2_subgroups(idx) == _index2_subgroups_by_squares(idx), G.descriptor()
+    # dih:4 x C2 x C2 has 2^4 - 1 homomorphisms onto Z/2.
+    assert len(_index2_subgroups(IndexedGroup(_INDEX2_FLEET[-1]))) == 15
 
 
 _MEMO_FLEET = ([SymmetricGroup(4), AlternatingGroup(5)]

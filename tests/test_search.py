@@ -297,6 +297,22 @@ def test_hunt_reality_sym8_contains_gallery_structure():
     assert (v.a1, v.c1, v.a2, v.c2) in keys
 
 
+def test_hunt_reality_rejects_budget_below_one():
+    # The gallery fallback past the table cap once ignored the budget.
+    for G in (SymmetricGroup(8), AlternatingGroup(40), Abelian2(5)):
+        for budget in (0, -1):
+            with pytest.raises(PreconditionError):
+                hunt_reality(G, "not-biholo", budget=budget)
+
+
+def test_search_constraints_reject_malformed_types():
+    for bad in ((3, 3), (3, 3, 0), (3, 3, 5, 5), [3, 3, 5], (3, 3, 5.0), (True, 3, 5)):
+        for field in ("type1", "type2"):
+            with pytest.raises(PreconditionError):
+                SearchConstraints(**{field: bad})
+    assert SearchConstraints(type1=(3, 3, 5)).type1 == (3, 3, 5)
+
+
 def test_reports_are_deterministic():
     r1 = enumerate_unmixed(Abelian2(5), limit=10).report
     r2 = enumerate_unmixed(Abelian2(5), limit=10).report

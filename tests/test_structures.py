@@ -5,8 +5,14 @@ from fractions import Fraction
 import pytest
 
 from beauville.constructions import Abelian2, Wallpaper, build_h4, dihedral
-from beauville.core import InconsistencyError, PreconditionError, generated_subgroup
+from beauville.core import (
+    DEFAULT_CLOSURE_CAP,
+    InconsistencyError,
+    PreconditionError,
+    generated_subgroup,
+)
 from beauville.matgroups import (
+    PSL2Group,
     SL2Group,
     diag_mat,
     minv,
@@ -14,7 +20,7 @@ from beauville.matgroups import (
     sl2_constants,
     split_conjugator,
 )
-from beauville.perms import SymmetricGroup, parse_cycles, pinv, pmul
+from beauville.perms import AlternatingGroup, SymmetricGroup, parse_cycles, pinv, pmul
 from beauville.structures import (
     IndexTwoSubgroup,
     MixedQuadruple,
@@ -217,14 +223,14 @@ def test_vz3_examples():
     D = diag_mat(11, lam)
     g = split_conjugator(11, lam)
     c2 = mmul(mmul(g, D, 11), minv(g, 11), 11)
-    rep = check_mixed_vz3(H, k["B"], k["S"], D, c2, perfect=True)
+    rep = check_mixed_vz3(H, k["B"], k["S"], D, c2)
     assert rep.passed
     # odd-order first element fails hypothesis 1
-    rep_odd = check_mixed_vz3(H, k["T"], k["S"], D, c2, perfect=True)
+    rep_odd = check_mixed_vz3(H, k["T"], k["S"], D, c2)
     assert rep_odd.verdict == "fail"
     assert next(c for c in rep_odd.conditions if c.id == "even-orders").ok is False
     # shared type-product factor fails hypothesis 4
-    rep_shared = check_mixed_vz3(H, k["B"], k["S"], k["B"], k["S"], perfect=True)
+    rep_shared = check_mixed_vz3(H, k["B"], k["S"], k["B"], k["S"])
     assert next(c for c in rep_shared.conditions if c.id == "coprime-nu").ok is False
 
 
@@ -232,14 +238,29 @@ def test_vz3_first_condition_named_alike_decided_or_capped():
     H = dihedral(6)
     a1, c1 = (1, 1), (0, 1)
     a2, c2 = H.generators
-    for perfect, want in ((False, ("squares-generate", "closure")),
-                          (True, ("first-pair-generates", "closure (perfect shortcut)"))):
-        decided = check_mixed_vz3(H, a1, c1, a2, c2, perfect=perfect)
-        capped = check_mixed_vz3(H, a1, c1, a2, c2, perfect=perfect, closure_cap=3)
-        assert (decided.conditions[1].id, decided.conditions[1].strategy) == want
-        assert (capped.conditions[1].id, capped.conditions[1].strategy) == want
-        assert decided.conditions[1].ok is not None
-        assert capped.conditions[1].ok is None and capped.conditions[1].detail == "over cap"
+    want = ("squares-generate", "closure")
+    decided = check_mixed_vz3(H, a1, c1, a2, c2)
+    capped = check_mixed_vz3(H, a1, c1, a2, c2, closure_cap=3)
+    assert (decided.conditions[1].id, decided.conditions[1].strategy) == want
+    assert (capped.conditions[1].id, capped.conditions[1].strategy) == want
+    # The pair generates D6 but its squares and product do not.
+    assert decided.conditions[1].ok is False
+    assert capped.conditions[1].ok is None and capped.conditions[1].detail == "over cap"
+    # A perfect group has no index-2 subgroup, so the first pair itself
+    # must generate; the SL(2,p) certificate never reaches closure_cap.
+    H = SL2Group(11)
+    k = sl2_constants(11)
+    for cap in (3, DEFAULT_CLOSURE_CAP):
+        rep = check_mixed_vz3(H, k["B"], k["S"], k["B"], k["S"], closure_cap=cap)
+        assert (rep.conditions[1].id, rep.conditions[1].strategy, rep.conditions[1].ok) == \
+            ("first-pair-generates", "orbit-stabilizer (perfect shortcut)", True)
+
+
+def test_perfect_is_a_group_fact():
+    assert [SL2Group(p).perfect for p in (3, 5)] == [False, True]
+    assert [PSL2Group(p).perfect for p in (3, 5)] == [False, True]
+    assert [AlternatingGroup(n).perfect for n in (4, 5)] == [False, True]
+    assert not SymmetricGroup(5).perfect and not dihedral(6).perfect
 
 
 def test_vz3_quadruple_orders():
