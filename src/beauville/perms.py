@@ -8,6 +8,7 @@ the API boundary is 1-based by default with a zero-based switch.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -15,7 +16,8 @@ import re
 
 from .core import CapacityExceeded, Group, PreconditionError, orbit
 
-DEFAULT_CENTRALIZER_CAP = 10**7
+# Most orbit maps ``conjugator_search`` places before it gives up.
+DEFAULT_CONJUGATOR_CAP = 10**6
 
 
 def identity_perm(n: int) -> tuple:
@@ -323,111 +325,74 @@ def generates_known_order(gens: list, order: int) -> bool:
     return bsgs_order(gens) == order
 
 
-# -- centralizer and conjugator machinery --------------------------------
-
-
-def centralizer_size(a: tuple) -> int:
-    """|C_{S_n}(a)| from the cycle structure (fixed points included)."""
-    counts: dict[int, int] = {}
-    for c in cycles_of(a, include_fixed=True):
-        counts[len(c)] = counts.get(len(c), 0) + 1
-    size = 1
-    for length, mult in counts.items():
-        size *= length**mult * math.factorial(mult)
-    return size
-
-
-def iter_centralizer(a: tuple, cap: int = DEFAULT_CENTRALIZER_CAP):
-    """Yield all elements of C_{S_n}(a), deterministically.
-
-    The centralizer is the direct product over cycle lengths of
-    (cyclic shifts per cycle) wreath (permutations of equal-length
-    cycles).  Raises CapacityExceeded if its size is over ``cap``.
-    """
-    n = len(a)
-    if centralizer_size(a) > cap:
-        raise CapacityExceeded("centralizer enumeration", cap)
-    by_len: dict[int, list] = {}
-    for c in cycles_of(a, include_fixed=True):
-        by_len.setdefault(len(c), []).append(c)
-    lengths = sorted(by_len)
-    per_length_choices = []
-    for length in lengths:
-        block = by_len[length]
-        m = len(block)
-        choices = list(
-            itertools.product(
-                itertools.permutations(range(m)),
-                itertools.product(range(length), repeat=m),
-            )
-        )
-        per_length_choices.append((block, choices))
-    for combo in itertools.product(*(c for _, c in per_length_choices)):
-        images = list(range(n))
-        for (block, _), (pi, shifts) in zip(per_length_choices, combo):
-            length = len(block[0])
-            for j, src in enumerate(block):
-                dst = block[pi[j]]
-                k = shifts[j]
-                for t in range(length):
-                    images[src[t]] = dst[(t + k) % length]
-        yield tuple(images)
+# -- conjugator search ----------------------------------------------------
 
 
 class DegeneratePair(Exception):
-    """Both constraint elements are the identity: every ambient element works."""
+    """a, c and both targets are the identity: every ambient element works."""
 
 
-def find_aligning_conjugator(a: tuple, target: tuple):
-    """One x with x a x^-1 = target, or None if cycle types differ."""
-    if cycle_type(a) != cycle_type(target):
-        return None
-    n = len(a)
-    src = sorted(cycles_of(a, include_fixed=True), key=lambda c: (len(c), c))
-    dst = sorted(cycles_of(target, include_fixed=True), key=lambda c: (len(c), c))
-    images = [0] * n
-    for cs, cd in zip(src, dst):
-        for t in range(len(cs)):
-            images[cs[t]] = cd[t]
-    return tuple(images)
+def _orbit_map(b: int, x: int, edges) -> dict | None:
+    """The map g on the orbit of b with g(b) = x and g(s(y)) = t(g(y)) for
+    (s, t) in ``edges``, or None if a step conflicts or g is not injective."""
+    g, queue = {b: x}, [b]
+    for y in queue:
+        for s, t in edges:
+            z, w = s[y], t[g[y]]
+            if z not in g:
+                queue.append(z)
+            if g.setdefault(z, w) != w:
+                return None
+    return g if len(set(g.values())) == len(g) else None
 
 
-def conjugator_search(
-    a: tuple,
-    a_target: tuple,
-    c: tuple,
-    c_target: tuple,
-) -> list:
-    """Complete list of g in S_n with g a g^-1 = a_target, g c g^-1 = c_target.
+def conjugator_search(a: tuple, a_target: tuple, c: tuple, c_target: tuple) -> list:
+    """Sorted list of all g in S_n with g a g^-1 = a_target, g c g^-1 = c_target.
 
-    Solutions of the equation of the element with the smaller
-    centralizer form a coset g0 * C; the centralizer is enumerated from
-    the cycle structure and filtered by the other equation.  Raises
-    DegeneratePair when both a and c are the identity (the solution set
-    would be the whole of S_n) and CapacityExceeded when the smaller
-    centralizer is over ``DEFAULT_CENTRALIZER_CAP``.
+    The image x of its least point fixes g on an orbit of <a, c>: one walk
+    per x (the Cayley-walk test of Holt, Eick and O'Brien).  Orbits mapping
+    onto the same orbits of the targets form a block, unsolvable when it has
+    more orbits than images.  A solution takes one map per orbit, images
+    disjoint, placed fewest maps first.  Raises PreconditionError on mixed
+    degrees, DegeneratePair when all four are the identity and
+    CapacityExceeded past ``DEFAULT_CONJUGATOR_CAP`` placed maps.
     """
     n = len(a)
-    ident = identity_perm(n)
-    if a == ident and c == ident:
-        if a_target == ident and c_target == ident:
-            raise DegeneratePair()
+    if any(len(x) != n for x in (a_target, c, c_target)):
+        raise PreconditionError("permutations have mixed degree")
+    if a == c == a_target == c_target == identity_perm(n):
+        raise DegeneratePair()
+    edges = ((a, a_target), (c, c_target))
+    maps = []
+    for b in range(n):
+        if not any(b in found[0] for found in maps):
+            found = [g for g in (_orbit_map(b, x, edges) for x in range(n)) if g]
+            if not found:
+                return []
+            maps.append(found)
+    blocks = collections.Counter(frozenset(min(g.values()) for g in found) for found in maps)
+    if any(len(images) != k for images, k in blocks.items()):
         return []
-    if centralizer_size(c) < centralizer_size(a):
-        a, a_target, c, c_target = c, c_target, a, a_target
-    g0 = find_aligning_conjugator(a, a_target)
-    if g0 is None:
-        return []
-    if cycle_type(c) != cycle_type(c_target):
-        return []
-    out = []
-    for z in iter_centralizer(a):
-        g = pmul(g0, z)
-        if pmul(g, pmul(c, pinv(g))) == c_target:
-            assert pmul(g, pmul(a, pinv(g))) == a_target
-            out.append(g)
-    out.sort()
-    return out
+    maps.sort(key=len)
+    out, g, used, placed, chosen, stack = [], {}, set(), 0, [], [iter(maps[0])]
+    while stack:
+        if len(chosen) == len(stack):  # release the map placed at the top
+            used.difference_update(chosen.pop().values())
+        m = next(stack[-1], None)
+        if m is None:
+            stack.pop()
+        elif used.isdisjoint(m.values()):
+            placed += 1
+            if placed > DEFAULT_CONJUGATOR_CAP:
+                raise CapacityExceeded("conjugator search", DEFAULT_CONJUGATOR_CAP)
+            g.update(m)
+            used.update(m.values())
+            chosen.append(m)
+            if len(chosen) == len(maps):
+                out.append(tuple(g[y] for y in range(n)))
+            else:
+                stack.append(iter(maps[len(chosen)]))
+    return sorted(out)
 
 
 # -- group contexts -------------------------------------------------------

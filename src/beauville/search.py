@@ -707,12 +707,9 @@ def _gallery_candidates(G: Group, budget: int):
         for q in (5, 7, 11, 13):
             if not is_prime(q) or (p + 1) % q != 0:
                 continue
-            k = None
-            for cand in range(p):
-                if mat_order(companion_mat(p, cand), p) == q:
-                    k = cand
-                    break
-            if k is None:
+            try:
+                k = gal._nonsplit_trace(p, q)
+            except PreconditionError:
                 continue
             x = companion_mat(p, k)
             for s in range(p):

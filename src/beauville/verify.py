@@ -178,7 +178,7 @@ def _crit_sym8():
         return False, f"brute force found an inverting conjugator {brute[0]}"
     sols = conjugator_search(a, ai, c, ci)
     if sols:
-        return False, "centralizer search disagrees with brute force"
+        return False, "conjugator search disagrees with brute force"
     return True, "structure passes via exact sigma; no inverting conjugator among 40320"
 
 

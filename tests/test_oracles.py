@@ -24,7 +24,7 @@ on the even-twist subgroup and against a GL(2,p) sweep.
 
 import random
 from collections import deque
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 
 import pytest
@@ -772,6 +772,87 @@ def test_swap_route_against_key_orbits(desc, count):
     if swap_only:
         assert routes.get((False, True), 0) >= count
         assert routes.get((False, False), 0) >= 1
+
+
+# -- verdict invariance on equivalence orbits ----------------------------------
+# Equivalent structures give the same surface, so no verdict may depend
+# on how a structure is written.  An orbit member takes one
+# transformation and one inner twist on each side, then, at random, one
+# outer automorphism on both sides and the swap.  The structures are the
+# gallery's S_n family and A_40 structure, and seeded Beauville
+# structures of sym:5, psl2:7 and sl2:7 with the sl2:7 structure whose
+# key representative reads real while it does not.
+
+_SL2_7_REAL_WITNESS = ((0, 6, 1, 6), (5, 3, 4, 4), (0, 1, 6, 3), (0, 3, 2, 4))
+
+_INVARIANCE_FLEET = ["sym:8", "sym:11", "sym:14", "sym:17", "alt-reality:13",
+                     "sym:5", "psl2:7", "sl2:7"]
+
+
+def _random_word(G, rng, length=32):
+    x = G.identity
+    for _ in range(length):
+        x = G.mul(x, rng.choice(G.generators))
+    return x
+
+
+def _orbit_member(G, rng, v):
+    sides = []
+    for pair in ((v.a1, v.c1), (v.a2, v.c2)):
+        g = _random_word(G, rng)
+        sides.append(tuple(conjugate(G, x, g) for x in apply_sigma(G, rng.randrange(6), pair)))
+    outer = backend_for(G).outer
+    if outer and rng.random() < 0.5:
+        f = rng.choice(outer)
+        sides = [tuple(map(f, side)) for side in sides]
+    if rng.random() < 0.5:
+        sides.reverse()
+    return UnmixedStructure(G, *sides[0], *sides[1])
+
+
+def _verdict_fields(G, v):
+    verdict = reality_unmixed(G, v)
+    return verdict.biholo_conjugate, verdict.real, verdict.strongly_real
+
+
+@lru_cache(maxsize=None)
+def _verdict_draws(name):
+    """Per structure: its verdict fields and those of seeded orbit members."""
+    rng = random.Random(name)
+    kind, _, arg = name.partition(":")
+    if kind == "alt-reality":
+        structures, members = [gallery.alt_reality_structure(int(arg))], 20
+    elif kind == "sym" and int(arg) > 5:
+        structures, members = [gallery.sym_structure(int(arg))], 20
+    else:
+        G = group_from_descriptor(parse_descriptor(name))
+        elements = sorted(generated_subgroup(G, G.generators), key=repr)
+        structures, members = [], 8
+        while len(structures) < 3:
+            v = UnmixedStructure(G, *_generating_pair(G, elements, rng),
+                                 *_generating_pair(G, elements, rng))
+            if check_unmixed(G, v).passed:
+                structures.append(v)
+        if name == "sl2:7":
+            structures.append(UnmixedStructure(G, *_SL2_7_REAL_WITNESS))
+    return [(_verdict_fields(v.group, v),
+             [_verdict_fields(v.group, _orbit_member(v.group, rng, v)) for _ in range(members)])
+            for v in structures]
+
+
+@pytest.mark.parametrize("name", _INVARIANCE_FLEET)
+def test_verdicts_constant_on_equivalence_orbits(name):
+    for (biholo, _, strong), members in _verdict_draws(name):
+        assert biholo is not None and strong is not None
+        assert [(m[0], m[2]) for m in members] == [(biholo, strong)] * len(members)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: real counts case 3 of the three "
+                   "transpositions of the branch points but not cases 4 and 5")
+def test_real_constant_on_equivalence_orbits():
+    for name in _INVARIANCE_FLEET:
+        for (_, real, _), members in _verdict_draws(name):
+            assert [m[1] for m in members] == [real] * len(members), name
 
 
 # -- case labels of SL(2,p) ---------------------------------------------------

@@ -4,19 +4,17 @@ import random
 import pytest
 
 from beauville import perms
-from beauville.core import PreconditionError
+from beauville.core import CapacityExceeded, PreconditionError
 from beauville.perms import (
     AlternatingGroup,
     DegeneratePair,
     SymmetricGroup,
     bsgs_order,
-    centralizer_size,
     conjugator_search,
     cycle_to_perm,
     cycle_type,
     format_cycles,
     identity_perm,
-    iter_centralizer,
     parity,
     parse_cycles,
     perm_order,
@@ -140,8 +138,8 @@ def test_chain_completion_sifts_each_schreier_generator_once(monkeypatch):
 
 def test_centralizer_enumeration_is_the_centralizer():
     a = parse_cycles("(1,2,3)(4,5)", 7)
-    got = sorted(iter_centralizer(a))
-    assert len(got) == centralizer_size(a) == 3 * 2 * 2  # 3-cycle, 2-cycle, 2 fixed
+    got = conjugator_search(a, a, a, a)
+    assert len(got) == 3 * 2 * 2  # 3-cycle, 2-cycle, 2 fixed
     for z in got:
         assert pmul(z, pmul(a, pinv(z))) == a
     # brute-force comparison
@@ -158,29 +156,80 @@ def test_conjugator_search_no_inversion_for_sym8_pair():
     assert conjugator_search(a, pinv(a), c, pinv(c)) == []
 
 
+def _few_moved(rng, n, k):
+    """A seeded permutation moving at most k points."""
+    img = list(range(n))
+    points = rng.sample(range(n), k)
+    for x, y in zip(points, rng.sample(points, k)):
+        img[x] = y
+    return tuple(img)
+
+
+def _random_perm(rng, n):
+    img = list(range(n))
+    rng.shuffle(img)
+    return tuple(img)
+
+
 def test_conjugator_search_finds_all_solutions():
     import itertools
 
     rng = random.Random(13)
-    n = 6
-    for _ in range(10):
-        img = list(range(n))
-        rng.shuffle(img)
-        a = tuple(img)
-        img2 = list(range(n))
-        rng.shuffle(img2)
-        c = tuple(img2)
-        img3 = list(range(n))
-        rng.shuffle(img3)
-        h = tuple(img3)
-        at = pmul(h, pmul(a, pinv(h)))
-        ct = pmul(h, pmul(c, pinv(h)))
-        got = conjugator_search(a, at, c, ct)
-        brute = sorted(g for g in itertools.permutations(range(n))
-                       if pmul(g, pmul(a, pinv(g))) == at
-                       and pmul(g, pmul(c, pinv(g))) == ct)
-        assert got == brute
-        assert h in got
+    checked = {"solved": 0, "empty": 0}
+    for n in (5, 6, 7):
+        ambient = list(itertools.permutations(range(n)))
+        for shape, conjugate_targets, _ in itertools.product(
+                ("random", "shared-fixed", "equal", "few-moved"), (True, False), range(3)):
+            a = _random_perm(rng, n) if shape == "random" else _few_moved(rng, n, 3)
+            if shape == "equal":
+                c = a
+            elif shape == "random":
+                c = _random_perm(rng, n)
+            else:
+                c = _few_moved(rng, n, 3 if shape == "shared-fixed" else 2)
+            if a == c == identity_perm(n):
+                continue
+            h = _random_perm(rng, n)
+            if conjugate_targets:
+                at, ct = pmul(h, pmul(a, pinv(h))), pmul(h, pmul(c, pinv(h)))
+            else:
+                at, ct = pmul(h, pmul(a, pinv(h))), _few_moved(rng, n, 3)
+            got = conjugator_search(a, at, c, ct)
+            brute = [g for g in ambient
+                     if pmul(g, a) == pmul(at, g) and pmul(g, c) == pmul(ct, g)]
+            assert got == brute, (a, at, c, ct)
+            if conjugate_targets:
+                assert h in got
+            checked["solved" if got else "empty"] += 1
+    assert checked["solved"] > 0 and checked["empty"] > 0
+
+
+def test_conjugator_search_rejects_mixed_degrees():
+    with pytest.raises(PreconditionError):
+        conjugator_search((1, 0, 2), (1, 0), (0, 1, 2), (0, 1, 2))
+    with pytest.raises(PreconditionError):
+        conjugator_search((1, 0), (1, 0), (0, 1), (0, 2, 1))
+
+
+def test_conjugator_search_cap_boundary(monkeypatch):
+    # Six orbits in S_8: each 2-cycle has two maps onto itself, and each
+    # of the four common fixed points four.  The placements are the
+    # partial solutions, 2 + 4 + 16 + 48 + 96 + 96 = 262, of which the
+    # last 96 are the solutions.
+    from beauville.reality import _sym_solver
+
+    G = SymmetricGroup(8)
+    a, c = parse_cycles("(1,2)", 8), parse_cycles("(3,4)", 8)
+    assert _sym_solver(G, a, c, a, c).labels == {"inner"}
+    monkeypatch.setattr(perms, "DEFAULT_CONJUGATOR_CAP", 262)
+    assert len(conjugator_search(a, a, c, c)) == 2 * 2 * 24
+    monkeypatch.setattr(perms, "DEFAULT_CONJUGATOR_CAP", 261)
+    with pytest.raises(CapacityExceeded) as exc:
+        conjugator_search(a, a, c, c)
+    assert (exc.value.what, exc.value.cap) == ("conjugator search", 261)
+    # Past the cap the case is undecided, never a boolean.
+    sol = _sym_solver(G, a, c, a, c)
+    assert (sol.labels, sol.decided) == (frozenset(), False)
 
 
 def test_conjugator_quotients_centralize_target():
@@ -224,6 +273,12 @@ def test_cycle_type_mismatch_empty():
     a = parse_cycles("(1,2,3)", 6)
     b = parse_cycles("(1,2)", 6)
     assert conjugator_search(a, b, a, a) == []
+    # Eighteen fixed points of <a, c> against sixteen of the targets: the
+    # orbit blocks refute this at once, where placing maps would run into
+    # the cap before the pigeonhole showed.
+    a = parse_cycles("(1,2)", 20)
+    b = parse_cycles("(1,2)(3,4)", 20)
+    assert conjugator_search(a, b, a, b) == []
 
 
 def test_alternating_context_membership():

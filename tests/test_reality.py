@@ -12,6 +12,7 @@ from beauville.constructions import (
 )
 from beauville.core import CapacityExceeded, PreconditionError, generated_subgroup
 from beauville.gallery import (
+    alt_pair_2_3_84,
     alt_pair_skew,
     h4_mixed_structure,
     sl2_pair_555,
@@ -343,12 +344,26 @@ def test_swap_route_on_s10_exchange_image():
 
 def test_sym_thm_17_aligns_on_the_smaller_centralizer():
     # a = (5,4,1)(2,6) fixes 12 of 17 points, so its centralizer in S_17
-    # is far over the enumeration cap; c has a centralizer of order 42.
-    # The conjugator search enumerates the smaller one, and the verdict
-    # is the source's: not biholomorphic to the conjugate.
+    # is of order 3 * 2 * 12!; the pair is transitive, so the conjugator
+    # search takes at most 17 orbit walks per case whatever the
+    # centralizers.  The verdict is the source's: not biholomorphic to
+    # the conjugate.
     v = sym_structure(17)
     verdict = reality_unmixed(v.group, v)
     assert (verdict.biholo_conjugate, verdict.real, verdict.strongly_real) == (False, False, False)
+
+
+@pytest.mark.parametrize("n", [16, 28, 40])
+def test_alt_2_3_84_case_tables_are_decided(n):
+    # At n = 28 and 40 both centralizers have over 10^7 elements; the
+    # pair is transitive, so each case takes at most n orbit walks.  Case
+    # 0 is solved by odd conjugators only, as the gallery witness is.
+    pw = alt_pair_2_3_84(n)
+    table = lemma_case_table(pw.group, (pw.a, pw.c))
+    assert table.decided(range(6))
+    assert table.entries[0].labels == {"odd"}
+    assert parity(pw.witness) == 1
+    assert all(table.entries[i] is None for i in range(1, 6))
 
 
 def test_real_implications_hold():
