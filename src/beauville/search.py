@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     CapacityExceeded,
@@ -55,14 +56,6 @@ class IndexedGroup:
         # power_ids[i] = (e, x, ..., x^(k-1)) holds the order k and the inverse.
         self.order_of = [len(p) for p in self.power_ids]
         self.inv = [p[-1] for p in self.power_ids]
-        self.class_id = self._classes()
-        # Conjugate elements have conjugate powers, so one set per class,
-        # built from the class's first element, serves all its members.
-        per_class: dict = {}
-        for i, c in enumerate(self.class_id):
-            if c not in per_class:
-                per_class[c] = frozenset(self.class_id[j] for j in self.power_ids[i])
-        self.power_classes = [per_class[c] for c in self.class_id]
         # Subgroups that refuted a pair in ``generates``: their sizes in
         # bit order, each element's mask of the subgroups holding it, and
         # per target size the mask of the kept subgroups below it.
@@ -93,7 +86,10 @@ class IndexedGroup:
                     queue.append(y)
         return rows
 
-    def _classes(self):
+    @cached_property
+    def class_id(self):
+        """Conjugacy class of each id; classes are numbered in the order of
+        their least id, so a class's first member is its least."""
         n = len(self.elems)
         # Inline, not orbit(): a callback per node made IndexedGroup(SL(2,7)) 77 -> 93 ms.
         gen_ids = [self.index[g] for g in self.ctx.generators]
@@ -113,6 +109,18 @@ class IndexedGroup:
                         queue.append(y)
             next_id += 1
         return class_id
+
+    @cached_property
+    def power_classes(self):
+        """Classes of the powers of each id.  Conjugate elements have
+        conjugate powers, so one set per class, built from the class's
+        first element, serves all its members."""
+        cid = self.class_id
+        per_class: dict = {}
+        for i, c in enumerate(cid):
+            if c not in per_class:
+                per_class[c] = frozenset(cid[j] for j in self.power_ids[i])
+        return [per_class[c] for c in cid]
 
     def _power_elements(self, i):
         out = [self.id_index]
@@ -215,9 +223,73 @@ class EnumerationResult:
         return len(self.structures)
 
 
+class _Bucket:
+    """The pairs of one fingerprint in (i, j) order, as a sequence that
+    fills one row i at a time only as far as a reader iterates it.
+    Re-reads and concurrent readers share the stored ``prefix``.
+
+    ``keys`` maps each class of i to the keys class(j) * classes +
+    class(ij) of its pairs; ``size`` is the number of pairs kept."""
+
+    def __init__(self, idx: IndexedGroup, members: list, keys: dict, size: int):
+        self.size = size
+        self.prefix: list = []
+        self._rows = self._row_pairs(idx, members, keys)
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        # A full bucket is read as the list it is; the stream re-reads
+        # buckets once per partner fingerprint and per pair.
+        if len(self.prefix) == self.size:
+            return iter(self.prefix)
+        return self._read()
+
+    def _read(self):
+        k = 0
+        while k < len(self.prefix) or self._fill():
+            rest = self.prefix[k:]
+            k += len(rest)
+            yield from rest
+
+    def _fill(self) -> bool:
+        """Append the next row, cut at ``size``; False when all are kept."""
+        if len(self.prefix) >= self.size:
+            return False
+        self.prefix.extend(next(self._rows))
+        del self.prefix[self.size:]
+        return True
+
+    @staticmethod
+    def _row_pairs(idx, members, keys):
+        # Every member of a class with keys has at least one pair per key.
+        cid = idx.class_id
+        classes = len(members)
+        candidates: dict = {}  # class of i -> sorted members of its j classes
+        for i in sorted(i for c in keys for i in members[c]):
+            c = cid[i]
+            allowed = keys[c]
+            js = candidates.get(c)
+            if js is None:
+                js = candidates[c] = sorted(j for cj in {k // classes for k in allowed}
+                                            for j in members[cj])
+            row = idx.mul_row[i]
+            yield [(i, j) for j in js if cid[j] * classes + cid[row[j]] in allowed]
+
+
 def _fingerprint_buckets(idx: IndexedGroup, per_fp_cap: int | None = None):
     """Hyperbolic pairs (i, j) of non-identity elements, in index order,
-    keyed by the conjugacy-class fingerprint of their sigma set.
+    keyed by the conjugacy-class fingerprint of their sigma set, in the
+    order of each bucket's first pair.
+
+    Hyperbolicity and the fingerprint are class functions of (i, j, ij).
+    One sweep takes the least member r of each non-identity class and
+    walks every j once: per key (class(j), class(rj)) it counts the j
+    that give it, and tests the first such pair.  Conjugating by an
+    element that takes i to r keeps the key, so every member of the class
+    has as many pairs per key, and each bucket's size is known before any
+    pair is built.  Buckets are ``_Bucket`` sequences that fill lazily.
 
     ``per_fp_cap`` bounds how many pairs are kept per fingerprint (None
     keeps all, which an exhaustive search requires).  Returns the buckets
@@ -226,36 +298,41 @@ def _fingerprint_buckets(idx: IndexedGroup, per_fp_cap: int | None = None):
     n = len(idx.elems)
     e = idx.id_index
     cid = idx.class_id
-    # Hyperbolicity and the fingerprint are class functions of (i, j, ij):
-    # per class of i, the bucket by the key class(j) * classes + class(ij),
-    # or None when the pair is not hyperbolic or its bucket is full.
     classes = max(cid) + 1
+    members: list = [[] for _ in range(classes)]
+    for i, c in enumerate(cid):
+        members[c].append(i)
     scaled = [c * classes for c in cid]
-    memo_of_class = [{} for _ in range(classes)]
     pc = idx.power_classes
-    by_fp: dict = {}
-    truncated = False
-    for i in range(n):
-        if i == e:
+    keys_of: dict = {}  # fingerprint -> {class of i: set of keys}
+    size_of: dict = {}
+    first_of: dict = {}  # fingerprint -> its first pair
+    for c, cls in enumerate(members):
+        r = cls[0]
+        if r == e:
             continue
-        row = idx.mul_row[i]
-        memo = memo_of_class[cid[i]]
-        for j in range(n):
-            if j == e:
+        row = idx.mul_row[r]
+        keys = [s + cid[x] for s, x in zip(scaled, row)]
+        counts = Counter(keys)
+        # The last assignment wins, so each key keeps its least j.
+        first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
+        del counts[keys[e]], first[keys[e]]  # j = e is its key's only j
+        for k, j in first.items():
+            if not idx.hyperbolic(r, j):
                 continue
-            key = scaled[j] + cid[row[j]]
-            try:
-                bucket = memo[key]
-            except KeyError:
-                bucket = memo[key] = (by_fp.setdefault(pc[i] | pc[j] | pc[row[j]], [])
-                                      if idx.hyperbolic(i, j) else None)
-            if bucket is None:
-                continue
-            if per_fp_cap is None or len(bucket) < per_fp_cap:
-                bucket.append((i, j))
-            else:
-                truncated = True
-                memo[key] = None  # the bucket is full for good
+            fp = pc[r] | pc[j] | pc[row[j]]
+            keys_of.setdefault(fp, {}).setdefault(c, set()).add(k)
+            size_of[fp] = size_of.get(fp, 0) + len(cls) * counts[k]
+            if fp not in first_of or (r, j) < first_of[fp]:
+                first_of[fp] = (r, j)
+    truncated = False
+    by_fp: dict = {}
+    for fp in sorted(first_of, key=first_of.get):
+        size = size_of[fp]
+        if per_fp_cap is not None and size > per_fp_cap:
+            size = per_fp_cap
+            truncated = True
+        by_fp[fp] = _Bucket(idx, members, keys_of[fp], size)
     return by_fp, truncated
 
 
@@ -596,6 +673,7 @@ def wallpaper_scan(d: int, m: int) -> dict:
     G = Wallpaper(d, m)
     idx = IndexedGroup(G)
     n = len(idx.elems)
+    pc = idx.power_classes
     sigma_by_fp: dict = {}
     pair_by_fp: dict = {}
     # Only the first generating pair of each fingerprint is kept, so
@@ -603,7 +681,7 @@ def wallpaper_scan(d: int, m: int) -> dict:
     for i in range(n):
         row = idx.mul_row[i]
         for j in range(n):
-            fp = idx.power_classes[i] | idx.power_classes[j] | idx.power_classes[row[j]]
+            fp = pc[i] | pc[j] | pc[row[j]]
             if fp not in sigma_by_fp and idx.generates(i, j):
                 sigma_by_fp[fp] = idx.sigma_elements(fp)
                 pair_by_fp[fp] = (i, j)

@@ -10,10 +10,11 @@ conjugacy-class search.  The
 unmixed catalogue scan is checked against a brute force that uses
 neither the indexed tables nor fingerprint buckets.  The composed
 multiplication tables, the inverses and orders read off the power walk,
-the refuted-subgroup memo of ``IndexedGroup.generates``, the class-keyed
-fingerprint buckets, the per-class power fingerprints, the id-ordered
-enumeration and the sign-map index-2 subgroups are checked against the
-plain builds they replaced.  Pair orbits and
+the refuted-subgroup memo of ``IndexedGroup.generates``, the lazy
+class-keyed fingerprint buckets, the per-class power fingerprints, the
+id-ordered enumeration and the sign-map index-2 subgroups are checked
+against the plain builds they replaced, and the structure stream on lazy
+buckets against the stream fed the eager ones.  Pair orbits and
 keyed structure orbits are checked against breadth-first searches that
 apply every generator of the equivalence group at every point, and the
 swap route of the unmixed reality verdict against key-orbit membership.
@@ -529,14 +530,62 @@ def test_refuted_subgroup_memo_against_bfs(G):
                 (i, j, within is not None)
 
 
-@pytest.mark.parametrize("desc", ["sym:5", "sl2:5", "psl2:7", "ab2:5"])
+def _named_group(name):
+    """The group of a formatted descriptor; products, which
+    ``parse_descriptor`` cannot read, come from the catalogue."""
+    if name.startswith("prod("):
+        return group_from_descriptor(next(d for d in catalogue(72)
+                                          if format_descriptor(d) == name))
+    return group_from_descriptor(parse_descriptor(name))
+
+
+@pytest.mark.parametrize("desc", ["sym:5", "sl2:5", "psl2:7", "ab2:5", "psl2:11", "dih:12",
+                                  "prod(dic:3,cyc:5)"])
 def test_class_keyed_fingerprints_against_pairs(desc):
-    idx = IndexedGroup(group_from_descriptor(parse_descriptor(desc)))
+    idx = IndexedGroup(_named_group(desc))
     for cap in (None, 16):
         got, got_truncated = _fingerprint_buckets(idx, per_fp_cap=cap)
         want, want_truncated = _fingerprint_buckets_by_pairs(idx, per_fp_cap=cap)
-        assert list(got.items()) == list(want.items())
+        # Key order, pair order and the cut at the cap; sizes come before any fill.
+        assert [len(b) for b in got.values()] == [len(b) for b in want.values()]
+        assert [(fp, list(b)) for fp, b in got.items()] == list(want.items())
         assert got_truncated == want_truncated
+
+
+def _stream_against_eager(G, constraints, limit):
+    """The lazy stream's first ``limit`` quadruples, checked against the
+    stream fed the eager buckets on a fresh index."""
+    lazy = list(islice(_structure_stream(IndexedGroup(G), constraints), limit))
+    idx = IndexedGroup(G)
+    eager, _ = _fingerprint_buckets_by_pairs(idx)
+    assert list(islice(_structure_stream(idx, constraints, eager), limit)) == lazy
+    return lazy
+
+
+@pytest.mark.parametrize("desc,limit,types,count", [
+    ("sym:5", None, None, 259200), ("ab2:5", None, None, 11520), ("dih:12", None, None, 0),
+    ("psl2:7", 200, None, 200), ("psl2:11", 200, None, 200),
+    ("psl2:7", 200, ((7, 7, 7), (4, 4, 3)), 200)])
+def test_lazy_stream_against_eager_buckets(desc, limit, types, count):
+    constraints = SearchConstraints() if types is None else SearchConstraints(*types)
+    assert len(_stream_against_eager(_named_group(desc), constraints, limit)) == count
+
+
+def test_first_structure_against_eager_buckets_on_catalogue():
+    # The catalogue up to order 64 holds no unmixed structure, so every
+    # stream reads its buckets to the end.
+    for desc in catalogue(64):
+        assert _stream_against_eager(group_from_descriptor(desc), SearchConstraints(), 1) == []
+
+
+def test_first_structure_fills_few_buckets():
+    # The eager fill filed all 403,482 hyperbolic pairs of PSL(2,11)
+    # before the stream yielded its first quadruple.
+    idx = IndexedGroup(PSL2Group(11))
+    by_fp, _ = _fingerprint_buckets(idx)
+    assert sum(len(b) for b in by_fp.values()) == 403482
+    assert next(_structure_stream(idx, SearchConstraints(), by_fp)) is not None
+    assert 100 * sum(len(b.prefix) for b in by_fp.values()) < 403482
 
 
 def test_per_class_power_classes_against_per_element():

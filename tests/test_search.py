@@ -211,6 +211,17 @@ def test_generates_within_subgroup():
                 assert not any(D6.generates(i, j, within=other) for i, j in pairs)
 
 
+def test_class_tables_are_built_on_first_read():
+    # The mixed scan's reads (index-2 subgroups, generation within them)
+    # need neither the classes nor the power fingerprints.
+    D6 = IndexedGroup(dihedral(6))
+    for H in _index2_subgroups(D6):
+        D6.generates(*sorted(H)[1:3], within=H)
+    assert "class_id" not in vars(D6) and "power_classes" not in vars(D6)
+    assert len(set(D6.power_classes)) == max(D6.class_id) + 1 == 6
+    assert "class_id" in vars(D6)
+
+
 def test_scan_catalogue_unmixed_small():
     rep = scan_catalogue(60, "unmixed")
     assert rep["found"] == []
