@@ -80,24 +80,36 @@ def iota_pair(G: Group, pair: tuple) -> tuple:
     return (G.inv(a), G.inv(c))
 
 
-def _conjugates(mul, gens: list, pair: tuple) -> list:
-    """Conjugates g a g^-1, g c g^-1 of a pair by each (g, g^-1) in ``gens``."""
-    a, c = pair
-    return [(mul(g, mul(a, gi)), mul(g, mul(c, gi))) for g, gi in gens]
-
-
 def it_orbit(G: Group, pair: tuple, cap: int = 10**6) -> frozenset:
     """Orbit of the pair under inner automorphisms and the six
     transformations.
 
     The six transformations are words in a and c, so they commute with
-    conjugation and compose to one another up to an inner automorphism:
-    the orbit is the inner-automorphism orbit of the six images of the
-    pair, and the search takes only conjugation steps from them.
+    conjugation: sigma_i(g Q g^-1) = g sigma_i(Q) g^-1.  They also
+    compose to one another up to an inner automorphism.  So the orbit is
+    {sigma_i(Q) : Q in Inn P, i = 0..5}: one walk over the inner orbit
+    of P, which emits the six images of each member Q = (x, y), with
+    u = (yx)^-1 and w = (xy)^-1: (x, y), (u, x), (y, u), (y, x),
+    (w, y), (x, w), as in ``apply_sigma``.
+
+    The inner orbit lies in the orbit, and the set of images is checked
+    against ``cap`` each time it grows, so CapacityExceeded("pair orbit",
+    cap) is raised exactly when the orbit has more than ``cap`` pairs.
     """
-    gens = [(g, G.inv(g)) for g in G.generators]
-    seeds = [apply_sigma(G, i, pair) for i in range(6)]
-    return frozenset(orbit(seeds, partial(_conjugates, G.mul, gens), cap, "pair orbit"))
+    mul, inv = G.mul, G.inv
+    gens = [(g, inv(g)) for g in G.generators]
+    out: set = set()
+
+    def images(q):
+        x, y = q
+        u, w = inv(mul(y, x)), inv(mul(x, y))
+        out.update(((x, y), (u, x), (y, u), (y, x), (w, y), (x, w)))
+        if len(out) > cap:
+            raise CapacityExceeded("pair orbit", cap)
+        return [(mul(g, mul(x, gi)), mul(g, mul(y, gi))) for g, gi in gens]
+
+    orbit([pair], images, cap, "pair orbit")
+    return frozenset(out)
 
 
 # -- case patterns ---------------------------------------------------------
@@ -107,19 +119,10 @@ def case_targets(G: Group, i: int, a, c) -> tuple:
     """Images (psi(a), psi(c)) required so that psi after sigma_i inverts
     the pair.  Re-derived from the sigma algebra; matches the printed
     case table."""
-    inv, mul = G.inv, G.mul
-    ac = mul(a, c)
-    table = {
-        0: (inv(a), inv(c)),
-        1: (inv(c), ac),
-        2: (ac, inv(a)),
-        3: (inv(c), inv(a)),
-        4: (ac, inv(c)),
-        5: (inv(a), ac),
-    }
-    if i not in table:
+    if i not in range(6):
         raise PreconditionError(f"case index {i} out of range 0..5")
-    return table[i]
+    ai, ci, ac = G.inv(a), G.inv(c), G.mul(a, c)
+    return ((ai, ci), (ci, ac), (ac, ai), (ci, ai), (ac, ci), (ai, ac))[i]
 
 
 # -- automorphism backends --------------------------------------------------

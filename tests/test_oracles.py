@@ -714,12 +714,20 @@ def test_it_orbit_cap_boundary():
             it_orbit(G, pair, cap=size - 1)
         assert (exc.value.what, exc.value.cap) == ("pair orbit", size - 1)
     # The generating S6 pair whose orbit of 4320 outgrows a cap of 500.
+    # Its inner orbit of 720 fits caps 720 and 4319, which the union of
+    # the six images still exceeds.
     S6 = SymmetricGroup(6)
     pair = (parse_cycles("(1,6,2,3,5,4)", 6), parse_cycles("(1,5)(2,3,4)", 6))
-    assert len(_it_orbit(S6, pair)) == 4320
-    with pytest.raises(CapacityExceeded) as exc:
-        it_orbit(S6, pair, cap=500)
-    assert (exc.value.what, exc.value.cap) == ("pair orbit", 500)
+    want = _it_orbit(S6, pair)
+    assert len(want) == 4320
+    inner = orbit([pair], lambda q: [(conjugate(S6, q[0], g), conjugate(S6, q[1], g))
+                                     for g in S6.generators], 10**6, "inner orbit")
+    assert len(inner) == 720
+    for cap in (500, 720, 4319):
+        with pytest.raises(CapacityExceeded) as exc:
+            it_orbit(S6, pair, cap=cap)
+        assert (exc.value.what, exc.value.cap) == ("pair orbit", cap)
+    assert it_orbit(S6, pair, cap=4320) == want
 
 
 def _expand(G, orbit_keys):
