@@ -388,30 +388,49 @@ def build_h4(H: Group) -> H4:
 # -- descriptor registry ---------------------------------------------------
 
 
+def json_field(data, name: str, what: str):
+    """``data[name]`` of a JSON object; a missing field raises
+    PreconditionError naming it and ``what`` the object is."""
+    if not isinstance(data, dict) or name not in data:
+        raise PreconditionError(f"{what} lacks the field {name!r}")
+    return data[name]
+
+
 def group_from_descriptor(desc: dict) -> Group:
-    kind = desc.get("kind")
+    def num(name):
+        value = json_field(desc, name, "group descriptor")
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            raise PreconditionError(
+                f"group descriptor field {name!r} is not an integer: {value!r}") from None
+
+    kind = json_field(desc, "kind", "group descriptor")
     if kind == "sym":
-        return SymmetricGroup(int(desc["n"]))
+        return SymmetricGroup(num("n"))
     if kind == "alt":
-        return AlternatingGroup(int(desc["n"]))
+        return AlternatingGroup(num("n"))
     if kind == "sl2":
-        return SL2Group(int(desc["p"]))
+        return SL2Group(num("p"))
     if kind == "psl2":
-        return PSL2Group(int(desc["p"]))
+        return PSL2Group(num("p"))
     if kind == "ab2":
-        return Abelian2(int(desc["n"]))
+        return Abelian2(num("n"))
     if kind == "cyc":
-        return Cyclic(int(desc["n"]))
+        return Cyclic(num("n"))
     if kind == "h4":
-        return H4(group_from_descriptor(desc["inner"]))
+        return H4(group_from_descriptor(json_field(desc, "inner", "group descriptor")))
     if kind == "wallpaper":
-        return Wallpaper(int(desc["d"]), int(desc["m"]))
+        return Wallpaper(num("d"), num("m"))
     if kind == "dih":
-        return dihedral(int(desc["n"]))
+        return dihedral(num("n"))
     if kind == "dic":
-        return dicyclic(int(desc["n"]))
+        return dicyclic(num("n"))
     if kind == "prod":
-        return DirectProduct([group_from_descriptor(f) for f in desc["factors"]])
+        factors = json_field(desc, "factors", "group descriptor")
+        if not isinstance(factors, list):
+            raise PreconditionError(f"group descriptor field 'factors' is not a list: {factors!r}")
+        return DirectProduct([group_from_descriptor(f) for f in factors])
     raise PreconditionError(f"unknown group descriptor kind {kind!r}")
 
 

@@ -293,23 +293,17 @@ def sl2_pair_qqq_nonsplit(p: int, q: int) -> PairWithWitness:
     G = SL2Group(p)
     k = _nonsplit_trace(p, q)
     x = companion_mat(p, k)
-    for s in range(p):
-        for t in range(p):
-            if not _curve_equation_holds(p, k, s, t):
-                continue
-            g = (1, s, t, (1 + s * t) % p)
-            y = mmul(mmul(g, x, p), minv(g, p), p)
-            if y in (x, mneg(x, p)):
-                continue
-            xi = minv(x, p)
-            if y in (xi, mneg(xi, p)):
-                continue
-            z = mmul(x, y, p)
-            if mat_order(z, p) != q:
-                raise InconsistencyError("curve point does not give an order-q product")
-            if generates(G, x, y):
-                _expect_type(G, x, y, (q, q, q), "pair")
-                return PairWithWitness(G, x, y)
+    xi = minv(x, p)
+    trivial = (x, mneg(x, p), xi, mneg(xi, p))
+    for y in curve_conjugates(p, k):
+        if y in trivial:
+            continue
+        z = mmul(x, y, p)
+        if mat_order(z, p) != q:
+            raise InconsistencyError("curve point does not give an order-q product")
+        if generates(G, x, y):
+            _expect_type(G, x, y, (q, q, q), "pair")
+            return PairWithWitness(G, x, y)
     raise PreconditionError(
         f"no curve point over F_{p} yields a generating system "
         "(guaranteed to exist for p >= 11)")
@@ -322,6 +316,17 @@ def _nonsplit_trace(p: int, q: int) -> int:
         if mat_order(m, p) == q:
             return k
     raise PreconditionError(f"no trace value of order {q} mod {p}")
+
+
+def curve_conjugates(p: int, k: int):
+    """The conjugates g M(k) g^-1 of the companion matrix by the points
+    g = (1, s, t, 1 + st) of the trace-k curve, in (s, t) order."""
+    x = companion_mat(p, k)
+    for s in range(p):
+        for t in range(p):
+            if _curve_equation_holds(p, k, s, t):
+                g = (1, s, t, (1 + s * t) % p)
+                yield mmul(mmul(g, x, p), minv(g, p), p)
 
 
 def _curve_equation_holds(p: int, r: int, s: int, t: int) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from .core import Group, PreconditionError
-from .constructions import H4, group_from_descriptor, parse_descriptor
+from .constructions import H4, group_from_descriptor, json_field, parse_descriptor
 from .matgroups import PSL2Group, SL2Group, psl_canon
 from .perms import AlternatingGroup, SymmetricGroup, format_cycles, parse_cycles
 from .structures import IndexTwoSubgroup, MixedQuadruple, UnmixedStructure
@@ -31,6 +31,15 @@ def element_to_json(G: Group, x):
 
 
 def element_from_json(G: Group, data):
+    """The element of G that a JSON literal gives; a literal of the wrong
+    shape raises PreconditionError."""
+    try:
+        return _element_from_json(G, data)
+    except (TypeError, IndexError, KeyError):
+        raise PreconditionError(f"malformed {G.kind} element literal {data!r}") from None
+
+
+def _element_from_json(G: Group, data):
     if isinstance(G, (SymmetricGroup, AlternatingGroup)):
         if not isinstance(data, str):
             raise PreconditionError("permutation literals are cycle strings")
@@ -115,25 +124,17 @@ def structure_to_json(v) -> dict:
 
 
 def structure_from_json(data: dict):
-    G = group_from_descriptor(data["group"])
+    def element(name):
+        return element_from_json(G, json_field(data, name, "structure file"))
+
+    G = group_from_descriptor(json_field(data, "group", "structure file"))
     kind = data.get("kind")
     if kind == "unmixed":
-        return UnmixedStructure(
-            G,
-            element_from_json(G, data["a1"]),
-            element_from_json(G, data["c1"]),
-            element_from_json(G, data["a2"]),
-            element_from_json(G, data["c2"]),
-        )
+        return UnmixedStructure(G, element("a1"), element("c1"), element("a2"), element("c2"))
     if kind == "mixed":
         if not isinstance(G, H4):
             raise PreconditionError(
                 "mixed structure files are supported for swap-product groups")
-        return MixedQuadruple(
-            G,
-            IndexTwoSubgroup.h2_of(G),
-            element_from_json(G, data["a"]),
-            element_from_json(G, data["c"]),
-            element_from_json(G, data["g"]),
-        )
+        return MixedQuadruple(G, IndexTwoSubgroup.h2_of(G),
+                              element("a"), element("c"), element("g"))
     raise PreconditionError(f"unknown structure kind {kind!r}")

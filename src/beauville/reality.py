@@ -440,7 +440,10 @@ class StructureKeys:
         m = self._side_min.get(pair)
         if m is None:
             pairs = it_orbit(self._G, pair, self._cap)
-            m = min(pairs, key=repr)
+            # Element reprs are self-delimiting, so the least pair by repr
+            # is the least first element, then the least second beside it.
+            x0 = min({x for x, _ in pairs}, key=repr)
+            m = (x0, min((y for x, y in pairs if x == x0), key=repr))
             self._side_min.update(dict.fromkeys(pairs, m))
         return m
 

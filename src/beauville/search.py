@@ -111,6 +111,15 @@ class IndexedGroup:
         return class_id
 
     @cached_property
+    def class_members(self):
+        """The ids of each class in increasing order, so a class's first
+        member is its least."""
+        members: list = [[] for _ in range(max(self.class_id) + 1)]
+        for i, c in enumerate(self.class_id):
+            members[c].append(i)
+        return members
+
+    @cached_property
     def power_classes(self):
         """Classes of the powers of each id.  Conjugate elements have
         conjugate powers, so one set per class, built from the class's
@@ -129,10 +138,6 @@ class IndexedGroup:
             out.append(acc)
             acc = self.mul_row[acc][i]
         return tuple(out)
-
-    def sigma_elements(self, class_ids) -> frozenset:
-        cid = self.class_id
-        return frozenset(i for i in range(len(self.elems)) if cid[i] in class_ids)
 
     def generates(self, i: int, j: int, within=None) -> bool:
         """Whether elements i and j generate the group, or the subgroup
@@ -216,12 +221,6 @@ class EnumerationResult:
     report: dict
     complete: bool
 
-    def __iter__(self):
-        return iter(self.structures)
-
-    def __len__(self):
-        return len(self.structures)
-
 
 class _Bucket:
     """The pairs of one fingerprint in (i, j) order, as a sequence that
@@ -231,10 +230,10 @@ class _Bucket:
     ``keys`` maps each class of i to the keys class(j) * classes +
     class(ij) of its pairs; ``size`` is the number of pairs kept."""
 
-    def __init__(self, idx: IndexedGroup, members: list, keys: dict, size: int):
+    def __init__(self, idx: IndexedGroup, keys: dict, size: int):
         self.size = size
         self.prefix: list = []
-        self._rows = self._row_pairs(idx, members, keys)
+        self._rows = self._row_pairs(idx, keys)
 
     def __len__(self):
         return self.size
@@ -262,9 +261,10 @@ class _Bucket:
         return True
 
     @staticmethod
-    def _row_pairs(idx, members, keys):
+    def _row_pairs(idx, keys):
         # Every member of a class with keys has at least one pair per key.
         cid = idx.class_id
+        members = idx.class_members
         classes = len(members)
         candidates: dict = {}  # class of i -> sorted members of its j classes
         for i in sorted(i for c in keys for i in members[c]):
@@ -278,7 +278,7 @@ class _Bucket:
             yield [(i, j) for j in js if cid[j] * classes + cid[row[j]] in allowed]
 
 
-def _fingerprint_buckets(idx: IndexedGroup, per_fp_cap: int | None = None):
+def _fingerprint_buckets(idx: IndexedGroup) -> dict:
     """Hyperbolic pairs (i, j) of non-identity elements, in index order,
     keyed by the conjugacy-class fingerprint of their sigma set, in the
     order of each bucket's first pair.
@@ -290,18 +290,12 @@ def _fingerprint_buckets(idx: IndexedGroup, per_fp_cap: int | None = None):
     element that takes i to r keeps the key, so every member of the class
     has as many pairs per key, and each bucket's size is known before any
     pair is built.  Buckets are ``_Bucket`` sequences that fill lazily.
-
-    ``per_fp_cap`` bounds how many pairs are kept per fingerprint (None
-    keeps all, which an exhaustive search requires).  Returns the buckets
-    and whether the cap dropped any pair.
     """
     n = len(idx.elems)
     e = idx.id_index
     cid = idx.class_id
-    classes = max(cid) + 1
-    members: list = [[] for _ in range(classes)]
-    for i, c in enumerate(cid):
-        members[c].append(i)
+    members = idx.class_members
+    classes = len(members)
     scaled = [c * classes for c in cid]
     pc = idx.power_classes
     keys_of: dict = {}  # fingerprint -> {class of i: set of keys}
@@ -325,15 +319,8 @@ def _fingerprint_buckets(idx: IndexedGroup, per_fp_cap: int | None = None):
             size_of[fp] = size_of.get(fp, 0) + len(cls) * counts[k]
             if fp not in first_of or (r, j) < first_of[fp]:
                 first_of[fp] = (r, j)
-    truncated = False
-    by_fp: dict = {}
-    for fp in sorted(first_of, key=first_of.get):
-        size = size_of[fp]
-        if per_fp_cap is not None and size > per_fp_cap:
-            size = per_fp_cap
-            truncated = True
-        by_fp[fp] = _Bucket(idx, members, keys_of[fp], size)
-    return by_fp, truncated
+    return {fp: _Bucket(idx, keys_of[fp], size_of[fp])
+            for fp in sorted(first_of, key=first_of.get)}
 
 
 def _structure_stream(idx: IndexedGroup, constraints: SearchConstraints,
@@ -349,7 +336,7 @@ def _structure_stream(idx: IndexedGroup, constraints: SearchConstraints,
     so the stream is exhaustive.
     """
     if by_fp is None:
-        by_fp, _ = _fingerprint_buckets(idx)
+        by_fp = _fingerprint_buckets(idx)
     id_class = {idx.class_id[idx.id_index]}
     type1, type2 = constraints.type1, constraints.type2
 
@@ -566,9 +553,7 @@ def scan_catalogue(max_order: int, mode: str) -> dict:
         name = format_descriptor(desc)
         scanned.append(name)
         if mode == "unmixed":
-            idx = IndexedGroup(G)
-            first = next(_structure_stream(idx, SearchConstraints()), None)
-            hits = [] if first is None else [idx.structure(first)]
+            hits = enumerate_unmixed(G, limit=1).structures
         else:
             hits = _scan_group_mixed(G)
         for h in hits:
@@ -674,18 +659,20 @@ def wallpaper_scan(d: int, m: int) -> dict:
     idx = IndexedGroup(G)
     n = len(idx.elems)
     pc = idx.power_classes
-    sigma_by_fp: dict = {}
+    members = idx.class_members
     pair_by_fp: dict = {}
     # Only the first generating pair of each fingerprint is kept, so
     # generation is checked only while its fingerprint is unrecorded.
-    for i in range(n):
+    # Fingerprints and generation are invariant under simultaneous
+    # conjugation, so that pair starts at the least member of a class.
+    for cls in members:
+        i = cls[0]
         row = idx.mul_row[i]
         for j in range(n):
             fp = pc[i] | pc[j] | pc[row[j]]
-            if fp not in sigma_by_fp and idx.generates(i, j):
-                sigma_by_fp[fp] = idx.sigma_elements(fp)
+            if fp not in pair_by_fp and idx.generates(i, j):
                 pair_by_fp[fp] = (i, j)
-    fps = sorted(sigma_by_fp, key=sorted)
+    fps = sorted(pair_by_fp, key=sorted)
     if not fps:
         return _report(G, "wallpaper-scan", t0, minimum=None,
                        witness=None, systems=0)
@@ -693,7 +680,8 @@ def wallpaper_scan(d: int, m: int) -> dict:
     witness = None
     for x, f1 in enumerate(fps):
         for f2 in fps[x:]:
-            size = len(sigma_by_fp[f1] & sigma_by_fp[f2])
+            # A sigma set is the union of the classes of its fingerprint.
+            size = sum(len(members[c]) for c in f1 & f2)
             if best is None or size < best:
                 best = size
                 witness = (pair_by_fp[f1], pair_by_fp[f2])
@@ -737,8 +725,11 @@ def hunt_reality(G: Group, want: str, budget: int = 5000) -> EnumerationResult:
     complete = True
     if G.order <= DEFAULT_ENUM_CAP:
         idx = IndexedGroup(G)
-        by_fp, truncated = _fingerprint_buckets(idx, per_fp_cap=16)
-        complete = not truncated
+        by_fp = _fingerprint_buckets(idx)
+        # Keep the first 16 pairs of each bucket, cut before any fill.
+        complete = all(b.size <= 16 for b in by_fp.values())
+        for b in by_fp.values():
+            b.size = min(b.size, 16)
         examined = 0
         for q in _structure_stream(idx, SearchConstraints(), by_fp):
             if examined >= budget:
@@ -762,7 +753,7 @@ def _gallery_candidates(G: Group, budget: int):
     """Deterministic candidate structures for groups beyond exhaustive
     reach, built from the explicit generator systems."""
     from . import gallery as gal
-    from .matgroups import SL2Group, companion_mat, mat_order, minv, mmul, is_prime
+    from .matgroups import SL2Group, companion_mat, mat_order, mmul, is_prime
 
     produced = 0
     if G.kind == "sym":
@@ -790,19 +781,13 @@ def _gallery_candidates(G: Group, budget: int):
             except PreconditionError:
                 continue
             x = companion_mat(p, k)
-            for s in range(p):
-                for t in range(p):
-                    if produced >= budget:
-                        return
-                    if not gal._curve_equation_holds(p, k, s, t):
-                        continue
-                    g = (1, s, t, (1 + s * t) % p)
-                    y = mmul(mmul(g, x, p), minv(g, p), p)
-                    z = mmul(x, y, p)
-                    if mat_order(z, p) != q:
-                        continue
-                    produced += 1
-                    yield UnmixedStructure(G, first.a, first.c, x, y)
+            for y in gal.curve_conjugates(p, k):
+                if mat_order(mmul(x, y, p), p) != q:
+                    continue
+                yield UnmixedStructure(G, first.a, first.c, x, y)
+                produced += 1
+                if produced >= budget:
+                    return
         return
     raise PreconditionError(
         f"no exhaustive budget and no candidate generator for {G.kind!r}")

@@ -159,6 +159,23 @@ def test_cli_usage_errors():
         assert proc.returncode == 64 and proc.stdout == ""
 
 
+def test_cli_malformed_structure_files_are_usage_errors():
+    # A missing field or a malformed literal is a usage error (64), not a
+    # failed check (1).
+    sl2 = {"group": {"kind": "sl2", "p": 7}, "kind": "unmixed", "a1": 5,
+           "c1": [[0, 1], [6, 0]], "a2": [[1, 1], [0, 1]], "c2": [[1, 0], [1, 1]]}
+    cases = [
+        (("check-unmixed", "--stdin"),
+         '{"group": {"kind": "sym", "n": 8}, "kind": "unmixed", "a1": "(1,2)"}', "'c1'"),
+        (("reality", "--stdin"), json.dumps(sl2), "5"),
+        (("search", "--group", '{"kind": "sym"}'), None, "'n'"),
+    ]
+    for args, stdin, named in cases:
+        proc = run_bv(*args, stdin=stdin)
+        assert proc.returncode == 64 and proc.stdout == "", args
+        assert proc.stderr.startswith("error:") and named in proc.stderr, proc.stderr
+
+
 def test_cli_gallery_names_the_parser_flag():
     proc = run_bv("gallery", "sl2-q1q2", "--p", "71", "--q1", "5", "--q2", "7")
     assert proc.returncode == 64

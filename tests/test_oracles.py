@@ -85,7 +85,9 @@ from beauville.search import (
     _index2_subgroups,
     _structure_stream,
     enumerate_unmixed,
+    hunt_reality,
     orbit_representatives,
+    wallpaper_scan,
 )
 from beauville.structures import (
     IndexTwoSubgroup,
@@ -397,12 +399,11 @@ def _generates_by_bfs(idx, i, j, within=None):
     return len(seen) == target
 
 
-def _fingerprint_buckets_by_pairs(idx, per_fp_cap=None):
+def _fingerprint_buckets_by_pairs(idx):
     n = len(idx.elems)
     e = idx.id_index
     pc = idx.power_classes
     by_fp: dict = {}
-    truncated = False
     for i in range(n):
         if i == e:
             continue
@@ -410,12 +411,8 @@ def _fingerprint_buckets_by_pairs(idx, per_fp_cap=None):
         for j in range(n):
             if j == e or not idx.hyperbolic(i, j):
                 continue
-            bucket = by_fp.setdefault(pc[i] | pc[j] | pc[row[j]], [])
-            if per_fp_cap is None or len(bucket) < per_fp_cap:
-                bucket.append((i, j))
-            else:
-                truncated = True
-    return by_fp, truncated
+            by_fp.setdefault(pc[i] | pc[j] | pc[row[j]], []).append((i, j))
+    return by_fp
 
 
 class _PaddedGenerators(SymmetricGroup):
@@ -543,13 +540,33 @@ def _named_group(name):
                                   "prod(dic:3,cyc:5)"])
 def test_class_keyed_fingerprints_against_pairs(desc):
     idx = IndexedGroup(_named_group(desc))
-    for cap in (None, 16):
-        got, got_truncated = _fingerprint_buckets(idx, per_fp_cap=cap)
-        want, want_truncated = _fingerprint_buckets_by_pairs(idx, per_fp_cap=cap)
-        # Key order, pair order and the cut at the cap; sizes come before any fill.
-        assert [len(b) for b in got.values()] == [len(b) for b in want.values()]
-        assert [(fp, list(b)) for fp, b in got.items()] == list(want.items())
-        assert got_truncated == want_truncated
+    got = _fingerprint_buckets(idx)
+    want = _fingerprint_buckets_by_pairs(idx)
+    # Key order and pair order; sizes come before any fill.
+    assert [len(b) for b in got.values()] == [len(b) for b in want.values()]
+    assert [(fp, list(b)) for fp, b in got.items()] == list(want.items())
+
+
+@pytest.mark.parametrize("desc", ["dih:5", "prod(dih:6,cyc:2)", "dih:12", "alt:4", "ab2:5",
+                                  "sym:5"])
+def test_hunt_cut_against_pairs(desc, monkeypatch):
+    # The hunt keeps the first 16 pairs of each bucket, and is complete
+    # exactly when no bucket lost a pair and the cut stream fit the budget.
+    G = _named_group(desc)
+    seen = []
+
+    def recording(idx):
+        seen.append((idx, _fingerprint_buckets(idx)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(search, "_fingerprint_buckets", recording)
+    budget = 100
+    res = hunt_reality(G, "real", budget=budget)
+    (idx, got), = seen
+    want = _fingerprint_buckets_by_pairs(idx)
+    assert [(fp, list(b)) for fp, b in got.items()] == [(fp, w[:16]) for fp, w in want.items()]
+    cut_stream = sum(1 for _ in _structure_stream(idx, SearchConstraints(), got))
+    assert res.complete == (cut_stream <= budget and all(len(w) <= 16 for w in want.values()))
 
 
 def _stream_against_eager(G, constraints, limit):
@@ -557,7 +574,7 @@ def _stream_against_eager(G, constraints, limit):
     stream fed the eager buckets on a fresh index."""
     lazy = list(islice(_structure_stream(IndexedGroup(G), constraints), limit))
     idx = IndexedGroup(G)
-    eager, _ = _fingerprint_buckets_by_pairs(idx)
+    eager = _fingerprint_buckets_by_pairs(idx)
     assert list(islice(_structure_stream(idx, constraints, eager), limit)) == lazy
     return lazy
 
@@ -582,10 +599,38 @@ def test_first_structure_fills_few_buckets():
     # The eager fill filed all 403,482 hyperbolic pairs of PSL(2,11)
     # before the stream yielded its first quadruple.
     idx = IndexedGroup(PSL2Group(11))
-    by_fp, _ = _fingerprint_buckets(idx)
+    by_fp = _fingerprint_buckets(idx)
     assert sum(len(b) for b in by_fp.values()) == 403482
     assert next(_structure_stream(idx, SearchConstraints(), by_fp)) is not None
     assert 100 * sum(len(b.prefix) for b in by_fp.values()) < 403482
+
+
+@pytest.mark.parametrize("d,m", [(3, 2), (3, 3), (4, 2), (4, 3), (6, 2)])
+def test_wallpaper_scan_against_all_pairs(d, m):
+    # Every pair in repr order, generation by closure, sigma sets by class
+    # search; the scan walks only class representatives and sums class sizes.
+    G = Wallpaper(d, m)
+    elems = sorted(generated_subgroup(G, G.generators), key=repr)
+    pos = {x: k for k, x in enumerate(elems)}
+    least = {}  # element -> the least member of its class
+    for x in elems:
+        if x not in least:
+            cls = conjugacy_class(G, x)
+            least.update(dict.fromkeys(cls, min(cls, key=pos.get)))
+    first: dict = {}  # sigma set -> its first generating pair
+    for x in elems:
+        for y in elems:
+            if len(generated_subgroup(G, [x, y])) == G.order:
+                first.setdefault(sigma_set(G, x, y), (x, y))
+    # Systems in the order of the least members of their classes.
+    systems = sorted(first, key=lambda s: sorted(pos[x] for x in s if least[x] == x))
+    pairs = [(s, t) for k, s in enumerate(systems) for t in systems[k:]]
+    best = min(len(s & t) for s, t in pairs)
+    s, t = next((s, t) for s, t in pairs if len(s & t) == best)
+    rep = wallpaper_scan(d, m)
+    assert (rep["minimum"], rep["systems"]) == (best, len(systems))
+    assert rep["witness"] == {"system1": [repr(z) for z in first[s]],
+                              "system2": [repr(z) for z in first[t]]}
 
 
 def test_per_class_power_classes_against_per_element():

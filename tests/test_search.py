@@ -211,15 +211,28 @@ def test_generates_within_subgroup():
                 assert not any(D6.generates(i, j, within=other) for i, j in pairs)
 
 
-def test_class_tables_are_built_on_first_read():
+def test_class_tables_are_built_on_first_read(monkeypatch):
     # The mixed scan's reads (index-2 subgroups, generation within them)
     # need neither the classes nor the power fingerprints.
+    tables = {"class_id", "class_members", "power_classes"}
     D6 = IndexedGroup(dihedral(6))
     for H in _index2_subgroups(D6):
         D6.generates(*sorted(H)[1:3], within=H)
-    assert "class_id" not in vars(D6) and "power_classes" not in vars(D6)
+    assert not tables & vars(D6).keys()
     assert len(set(D6.power_classes)) == max(D6.class_id) + 1 == 6
-    assert "class_id" in vars(D6)
+    assert "class_id" in vars(D6) and "class_members" not in vars(D6)
+    assert D6.class_members == [[i for i, c in enumerate(D6.class_id) if c == k] for k in range(6)]
+
+    built = []
+
+    class Recording(IndexedGroup):
+        def __init__(self, G):
+            super().__init__(G)
+            built.append(self)
+
+    monkeypatch.setattr(search, "IndexedGroup", Recording)
+    assert scan_catalogue(24, "mixed")["groups_scanned"] > 0
+    assert built and not any(tables & vars(idx).keys() for idx in built)
 
 
 def test_scan_catalogue_unmixed_small():
