@@ -20,8 +20,6 @@ from .constructions import (
     H4,
     Metacyclic,
     Wallpaper,
-    abelian_rank2,
-    build_h4,
     catalogue,
     dicyclic,
     dihedral,
@@ -59,7 +57,6 @@ from .search import (
 )
 from .structures import (
     CheckReport,
-    IndexTwoSubgroup,
     MixedQuadruple,
     PairMetrics,
     UnmixedStructure,

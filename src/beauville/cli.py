@@ -212,7 +212,9 @@ def cmd_hunt(args) -> int:
     data = dict(res.report)
     data["found"] = [structure_to_json(v) for v in res.structures[:20]]
     _emit(data, args.json)
-    return EXIT_PASS if res.structures else EXIT_FAIL
+    if res.structures:
+        return EXIT_PASS
+    return EXIT_FAIL if res.complete else EXIT_UNDECIDED
 
 
 def cmd_wallpaper_scan(args) -> int:

@@ -377,14 +377,6 @@ class H4(Group):
         return {"kind": "h4", "inner": self.inner.descriptor()}
 
 
-def abelian_rank2(n: int) -> Abelian2:
-    return Abelian2(n)
-
-
-def build_h4(H: Group) -> H4:
-    return H4(H)
-
-
 # -- descriptor registry ---------------------------------------------------
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .core import Group, InconsistencyError, PreconditionError, generates
-from .constructions import build_h4
+from .constructions import H4
 from .matgroups import (
     SL2Group,
     companion_mat,
@@ -39,7 +39,6 @@ from .perms import (
     pmul,
 )
 from .structures import (
-    IndexTwoSubgroup,
     MixedQuadruple,
     UnmixedStructure,
     pair_metrics,
@@ -431,14 +430,14 @@ def h4_mixed_structure(p: int) -> MixedQuadruple:
     H = SL2Group(p)
     consts = sl2_constants(p)
     second = sl2_pair_555(p, "sl")
-    G = build_h4(H)
+    G = H4(H)
     a = (consts["B"], second.a, 2)
     c = (consts["S"], second.c, 2)
     orders = (G.element_order(a), G.element_order(c),
               G.element_order(G.mul(G.inv(a), G.inv(c))))
     if orders != (20, 30, 5 * p):
         raise InconsistencyError(f"expected orders (20, 30, {5 * p}), got {orders}")
-    return MixedQuadruple(G, IndexTwoSubgroup.h2_of(G), a, c, G.coset_rep)
+    return MixedQuadruple(G, a, c, G.coset_rep)
 
 
 def alt_reality_structure(p: int) -> UnmixedStructure:

@@ -13,7 +13,7 @@ from .core import Group, PreconditionError
 from .constructions import H4, group_from_descriptor, json_field, parse_descriptor
 from .matgroups import PSL2Group, SL2Group, psl_canon
 from .perms import AlternatingGroup, SymmetricGroup, format_cycles, parse_cycles
-from .structures import IndexTwoSubgroup, MixedQuadruple, UnmixedStructure
+from .structures import MixedQuadruple, UnmixedStructure
 
 
 def element_to_json(G: Group, x):
@@ -135,6 +135,5 @@ def structure_from_json(data: dict):
         if not isinstance(G, H4):
             raise PreconditionError(
                 "mixed structure files are supported for swap-product groups")
-        return MixedQuadruple(G, IndexTwoSubgroup.h2_of(G),
-                              element("a"), element("c"), element("g"))
+        return MixedQuadruple(G, element("a"), element("c"), element("g"))
     raise PreconditionError(f"unknown structure kind {kind!r}")

@@ -73,8 +73,8 @@ def mtrace(x: Mat2, p: int) -> int:
     return (x[0] + x[3]) % p
 
 
-def mat_order(x: Mat2, p: int, cap: int | None = None) -> int:
-    cap = cap or p * (p * p - 1)
+def mat_order(x: Mat2, p: int) -> int:
+    cap = p * (p * p - 1)
     e = mat_id(p)
     acc = x
     k = 1

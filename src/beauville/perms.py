@@ -3,7 +3,7 @@
 Permutations on n points are stored as image tuples over 0..n-1 and act
 from the left: ``pmul(p, q)`` is the map x -> p(q(x)), so a product
 written left to right applies its right factor first.  Cycle notation at
-the API boundary is 1-based by default with a zero-based switch.
+the API boundary is 1-based; ``format_cycles`` can also print 0-based.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def parity(p: tuple) -> int:
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)?\s*\)")
 
 
-def parse_cycles(text: str, n: int, zero_based: bool = False) -> tuple:
+def parse_cycles(text: str, n: int) -> tuple:
     """Parse "(i,j,k)(l,m)..." into a permutation on n points.
 
     Cycles may overlap; they compose left-to-right as maps applied from
@@ -95,10 +95,9 @@ def parse_cycles(text: str, n: int, zero_based: bool = False) -> tuple:
         if body is None:
             continue
         entries = [int(tok) for tok in body.split(",")]
-        if not zero_based:
-            if any(e < 1 for e in entries):
-                raise PreconditionError(f"cycle entry below 1 in {text!r}")
-            entries = [e - 1 for e in entries]
+        if any(e < 1 for e in entries):
+            raise PreconditionError(f"cycle entry below 1 in {text!r}")
+        entries = [e - 1 for e in entries]
         if any(not (0 <= e < n) for e in entries):
             raise PreconditionError(f"cycle entry out of range 1..{n} in {text!r}")
         if len(set(entries)) != len(entries):

@@ -306,10 +306,8 @@ class CaseTable:
         return out
 
 
-def _case_table(G: Group, pair: tuple, onto: tuple, backend: AutBackend | None) -> CaseTable:
+def _case_table(G: Group, pair: tuple, onto: tuple, backend: AutBackend) -> CaseTable:
     """Entry i solves ``pair`` onto ``case_targets(G, i, *onto)``."""
-    if backend is None:
-        backend = backend_for(G)
     a, c = pair
     orders = {x: G.element_order(x) for x in (a, c)}
     entries: dict = {}
@@ -323,9 +321,9 @@ def _case_table(G: Group, pair: tuple, onto: tuple, backend: AutBackend | None) 
     return CaseTable(entries=entries, commuting=G.commutes(a, c))
 
 
-def lemma_case_table(G: Group, pair: tuple, backend: AutBackend | None = None) -> CaseTable:
+def lemma_case_table(G: Group, pair: tuple) -> CaseTable:
     """Solvability of the six inversion patterns for a pair."""
-    return _case_table(G, pair, pair, backend)
+    return _case_table(G, pair, pair, backend_for(G))
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -367,8 +365,7 @@ def _settle(*sides) -> bool | None:
     return False
 
 
-def reality_unmixed(G: Group, v: UnmixedStructure,
-                    backend: AutBackend | None = None) -> RealityVerdict:
+def reality_unmixed(G: Group, v: UnmixedStructure) -> RealityVerdict:
     """Reality decisions for a checked unmixed structure.
 
     The direct route settles the per-pair case tables, joined by a
@@ -380,11 +377,10 @@ def reality_unmixed(G: Group, v: UnmixedStructure,
     to an inner automorphism: the route is settled by the same rule
     over the two cross tables, P1 onto P2 and P2 onto P1.
     """
-    if backend is None:
-        backend = backend_for(G)
+    backend = backend_for(G)
     p1, p2 = (v.a1, v.c1), (v.a2, v.c2)
-    t1 = lemma_case_table(G, p1, backend)
-    t2 = lemma_case_table(G, p2, backend)
+    t1 = _case_table(G, p1, p1, backend)
+    t2 = _case_table(G, p2, p2, backend)
     swap_possible = (pair_metrics(G, *p1).order_multiset()
                      == pair_metrics(G, *p2).order_multiset())
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .constructions import H4
 from .core import (
     CapacityExceeded,
     DEFAULT_CLASS_CAP,
@@ -145,33 +146,19 @@ class UnmixedStructure:
                                 inv(self.a2), inv(self.c2))
 
 
-class IndexTwoSubgroup:
-    """Membership view of an index-2 subgroup of a group context."""
-
-    def __init__(self, contains, order: int, description: str = ""):
-        self._contains = contains
-        self.order = order
-        self.description = description
-
-    def contains(self, x) -> bool:
-        return self._contains(x)
-
-    @classmethod
-    def h2_of(cls, G) -> "IndexTwoSubgroup":
-        return cls(G.in_index2, G.index2_order, "even-twist subgroup")
-
-
 @dataclass(frozen=True)
 class MixedQuadruple:
-    group: Group
-    subgroup: IndexTwoSubgroup
+    """A mixed structure (a, c, g) on a swap product H4(H); the index-2
+    subgroup is its even-twist subgroup."""
+
+    group: H4
     a: object
     c: object
     g: object
 
     def inverted(self) -> "MixedQuadruple":
         inv = self.group.inv
-        return MixedQuadruple(self.group, self.subgroup, inv(self.a), inv(self.c), self.g)
+        return MixedQuadruple(self.group, inv(self.a), inv(self.c), self.g)
 
 
 @dataclass
@@ -315,21 +302,22 @@ def check_unmixed(G: Group, v: UnmixedStructure, strategy: str = "auto",
 def check_mixed(G: Group, M: MixedQuadruple,
                 class_cap: int = DEFAULT_CLASS_CAP,
                 subgroup_cap: int = 10**6) -> CheckReport:
-    """Verify the four mixed conditions.
+    """Verify the four mixed conditions on a swap product, over its
+    even-twist subgroup.
 
     An abelian index-2 subgroup fails outright (no mixed structure has
     one).  Condition 3 runs over the nontrivial coset: the squares of
     its elements must avoid the sigma set; condition 4 intersects the
     sigma set with its image under conjugation by g.
     """
+    if not isinstance(G, H4):
+        raise PreconditionError("mixed structures are checked on swap products H4(H)")
     report = CheckReport(verdict="undecided")
-    sub = M.subgroup
-    if sub.contains(M.g):
+    in_sub, order = G.in_index2, G.index2_order
+    if in_sub(M.g):
         raise PreconditionError("coset representative g lies in the index-2 subgroup")
-    if 2 * sub.order != G.order:
-        raise PreconditionError("subgroup does not have index 2")
 
-    if sub.order > subgroup_cap:
+    if order > subgroup_cap:
         _condition(report, "generates-subgroup", None, "closure",
                    "subgroup too large for closure; use the inner-criteria "
                    "checker for swap products")
@@ -337,9 +325,9 @@ def check_mixed(G: Group, M: MixedQuadruple,
     # With a and c in the subgroup, their closure lies in it and stays
     # under the cap; it is also the element list of the coset scan.
     elements = None
-    if sub.contains(M.a) and sub.contains(M.c):
+    if in_sub(M.a) and in_sub(M.c):
         elements = generated_subgroup(G, [M.a, M.c], cap=subgroup_cap)
-    gen_ok = elements is not None and len(elements) == sub.order
+    gen_ok = elements is not None and len(elements) == order
     _condition(report, "generates-subgroup", gen_ok, "closure",
                None if gen_ok else "pair does not generate the index-2 subgroup")
     if not gen_ok:
@@ -439,9 +427,5 @@ def check_mixed_vz3(H: Group, a1, c1, a2, c2,
 
 def vz3_quadruple(H: Group, a1, c1, a2, c2) -> MixedQuadruple:
     """Materialize the certified structure on the swap product."""
-    from .constructions import H4
-
     G = H4(H)
-    a = (a1, a2, 2)
-    c = (c1, c2, 2)
-    return MixedQuadruple(G, IndexTwoSubgroup.h2_of(G), a, c, G.coset_rep)
+    return MixedQuadruple(G, (a1, a2, 2), (c1, c2, 2), G.coset_rep)

@@ -43,7 +43,6 @@ from .perms import (
 )
 from .reality import (
     apply_sigma,
-    backend_for,
     iota_pair,
     lemma_case_table,
     reality_mixed,
@@ -446,9 +445,7 @@ def _crit_alt40():
                                       strategy="coprime")
     if ok is not True:
         return False, "coprime certificate failed"
-    backend = backend_for(G)
-    t1 = lemma_case_table(G, (v.a1, v.c1), backend)
-    t2 = lemma_case_table(G, (v.a2, v.c2), backend)
+    t1 = lemma_case_table(G, (v.a1, v.c1))
     sol5 = t1.entries.get(5)
     if sol5 is None or not sol5.labels:
         return False, "case 5 not solvable for the first pair"
@@ -456,7 +453,7 @@ def _crit_alt40():
         got = t1.entries.get(i)
         if got is not None and got.labels:
             return False, f"case {i} unexpectedly solvable for the first pair"
-    verdict = reality_unmixed(G, v, backend)
+    verdict = reality_unmixed(G, v)
     if verdict.biholo_conjugate is not True:
         return False, f"conjugate-biholomorphism verdict {verdict.biholo_conjugate}"
     if verdict.real is not False:

@@ -176,6 +176,19 @@ def test_cli_malformed_structure_files_are_usage_errors():
         assert proc.stderr.startswith("error:") and named in proc.stderr, proc.stderr
 
 
+def test_cli_hunt_reality_exit_codes():
+    # Nothing found exits 1 only when the hunt was complete.  The sl2:7
+    # hunt keeps 16 pairs per fingerprint, so finding no real structure
+    # within its budget is undecided (2); alt:4 has no hyperbolic pair,
+    # so its empty hunt is complete (1).
+    for group, budget, complete, code in (("sl2:7", "10", False, 2), ("alt:4", "5000", True, 1)):
+        proc = run_bv("hunt-reality", "--group", group, "--want", "real",
+                      "--budget", budget, "--json")
+        data = json.loads(proc.stdout)
+        assert data["found"] == [] and data["complete"] is complete, group
+        assert proc.returncode == code, group
+
+
 def test_cli_gallery_names_the_parser_flag():
     proc = run_bv("gallery", "sl2-q1q2", "--p", "71", "--q1", "5", "--q2", "7")
     assert proc.returncode == 64

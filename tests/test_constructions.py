@@ -4,9 +4,8 @@ from beauville.constructions import (
     Abelian2,
     Cyclic,
     DirectProduct,
+    H4,
     Wallpaper,
-    abelian_rank2,
-    build_h4,
     catalogue,
     dicyclic,
     dihedral,
@@ -19,9 +18,9 @@ from beauville.core import PreconditionError, conjugate, generated_subgroup
 
 
 def test_abelian_rank2_examples():
-    assert abelian_rank2(5).order == 25
-    assert abelian_rank2(2).order == 4
-    G = abelian_rank2(7)
+    assert Abelian2(5).order == 25
+    assert Abelian2(2).order == 4
+    G = Abelian2(7)
     assert G.element_order((1, 0)) == 7
     assert G.element_order((0, 0)) == 1
     assert G.element_order((2, 3)) == 7
@@ -29,16 +28,16 @@ def test_abelian_rank2_examples():
 
 def test_h4_order_and_subgroup():
     for H in (Cyclic(2), dihedral(3), dicyclic(2)):
-        G = build_h4(H)
+        G = H4(H)
         assert G.order == 4 * H.order ** 2
         assert 2 * G.index2_order == G.order
         assert not G.in_index2(G.coset_rep)
-    assert build_h4(Cyclic(2)).order == 16
+    assert H4(Cyclic(2)).order == 16
 
 
 def test_h4_swap_action():
     H = dihedral(3)
-    G = build_h4(H)
+    G = H4(H)
     g = G.coset_rep
     x = H.generators[0]
     el = (x, H.identity, 0)
@@ -51,7 +50,7 @@ def test_h4_swap_action():
 def test_h4_extension_does_not_split(H):
     # No element of order 2 outside the even-twist subgroup: any odd-twist
     # element squares to twist 2, never the identity.
-    G = build_h4(H)
+    G = H4(H)
     els = generated_subgroup(G, G.generators, cap=10**6)
     assert len(els) == G.order
     for el in els:

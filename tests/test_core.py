@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from beauville.constructions import Abelian2, Wallpaper, build_h4, dicyclic, dihedral
+from beauville.constructions import H4, Abelian2, Wallpaper, dicyclic, dihedral
 from beauville.core import (
     CapacityExceeded,
     MalformedElementError,
@@ -24,7 +24,7 @@ BACKENDS = [
     dihedral(6),
     dicyclic(3),
     Wallpaper(3, 3),
-    build_h4(dihedral(3)),
+    H4(dihedral(3)),
 ]
 
 

@@ -32,9 +32,9 @@ import pytest
 
 from beauville import core, gallery, perms, search
 from beauville.constructions import (
+    H4,
     Abelian2,
     Wallpaper,
-    build_h4,
     catalogue,
     dicyclic,
     dihedral,
@@ -90,11 +90,12 @@ from beauville.search import (
     wallpaper_scan,
 )
 from beauville.structures import (
-    IndexTwoSubgroup,
     MixedQuadruple,
     UnmixedStructure,
+    check_mixed,
     check_unmixed,
     pair_metrics,
+    sigma_naive,
     sigma_set,
     try_sigma_disjoint,
 )
@@ -495,7 +496,7 @@ def _index2_subgroups_by_squares(idx):
 
 
 _INDEX2_FLEET = ([group_from_descriptor(d) for d in catalogue(128)]
-                 + [build_h4(SL2Group(3)), _PaddedGenerators(4)]
+                 + [H4(SL2Group(3)), _PaddedGenerators(4)]
                  + [group_from_descriptor(parse_descriptor(d)) for d in ("ab2:4", "ab2:6")]
                  + [group_from_descriptor({"kind": "prod", "factors": [
                      {"kind": "dih", "n": 4}, {"kind": "cyc", "n": 2}, {"kind": "cyc", "n": 2}]})])
@@ -525,6 +526,36 @@ def test_refuted_subgroup_memo_against_bfs(G):
         for i, j, within in queries:
             assert fresh.generates(i, j, within) == _generates_by_bfs(idx, i, j, within), \
                 (i, j, within is not None)
+
+
+def test_mixed_scan_sigma_step_against_naive(monkeypatch):
+    """Deep negative control of the mixed scan.  On H4(A_4), order 576,
+    3,456 pairs of the even-twist subgroup (its one index-2 subgroup)
+    pass every earlier filter and reach the sigma step, and the scan
+    finds nothing.  For 40 seeded pairs among them, the id sigma set is
+    sigma_naive over the closure of the pair, and check_mixed fails the
+    pair at the last condition only."""
+    G = H4(AlternatingGroup(4))
+    sigma_under_pair = search._sigma_under_pair
+    reached = []
+
+    def recording(idx, i, j):
+        reached.append((idx, i, j))
+        return sigma_under_pair(idx, i, j)
+
+    monkeypatch.setattr(search, "_sigma_under_pair", recording)
+    assert search._scan_group_mixed(G) == []
+    assert len(reached) == 3456
+    idx = reached[0][0]
+    assert [len(H) for H in _index2_subgroups(idx)] == [288]
+    for _, i, j in random.Random(576).sample(reached, 40):
+        a, c = idx.elems[i], idx.elems[j]
+        got = {idx.elems[x] for x in sigma_under_pair(idx, i, j)}
+        assert got == sigma_naive(G, a, c, generated_subgroup(G, [a, c])), (a, c)
+        rep = check_mixed(G, MixedQuadruple(G, a, c, G.coset_rep))
+        assert [(cond.id, cond.ok) for cond in rep.conditions] == [
+            ("generates-subgroup", True), ("nonabelian-subgroup", True),
+            ("coset-squares", True), ("conjugate-sigma-intersection", False)], (a, c)
 
 
 def _named_group(name):
@@ -725,7 +756,7 @@ _ORBIT_FLEET = ["sym:4", "sym:5", "alt:5", "sl2:5", "psl2:7", "ab2:5", "ab2:7",
 
 def _fleet_group(desc):
     if desc == "h4:sl2:3":
-        return build_h4(SL2Group(3))
+        return H4(SL2Group(3))
     return group_from_descriptor(parse_descriptor(desc))
 
 
@@ -1045,7 +1076,7 @@ def _twist2_quadruples(p, seed, count):
 
 
 def _mixed_table(G, a1, a2, c1, c2):
-    M = MixedQuadruple(G, IndexTwoSubgroup.h2_of(G), (a1, a2, 2), (c1, c2, 2), G.coset_rep)
+    M = MixedQuadruple(G, (a1, a2, 2), (c1, c2, 2), G.coset_rep)
     return reality_mixed(G, M).tables[0].entries
 
 
@@ -1108,9 +1139,9 @@ def _extends(G, a, c, u, v):
     (5, 2009, [128, 134], 2),
 ])
 def test_mixed_case_tables_against_extension_walk(p, seed, picks, generating):
-    G = build_h4(SL2Group(p))
+    G = H4(SL2Group(p))
     ids = _TableGroup(G.inner)
-    G_ids = build_h4(ids)
+    G_ids = H4(ids)
     quadruples = _twist2_quadruples(p, seed, max(picks) + 1)
     found = 0
     for k in picks:
@@ -1146,7 +1177,7 @@ def _gl2_mixed_labels(p, a1, a2, c1, c2):
 
 @pytest.mark.parametrize("p, count", [(5, 400), (7, 100)])
 def test_mixed_case_labels_against_gl2_sweep(p, count):
-    G = build_h4(SL2Group(p))
+    G = H4(SL2Group(p))
     for k, quadruple in enumerate(_twist2_quadruples(p, 2009, count)):
         entries = _mixed_table(G, *quadruple)
         want = _gl2_mixed_labels(p, *quadruple)

@@ -39,11 +39,6 @@ def test_parse_cycles_overlapping_compose_left_to_right():
     assert p == parse_cycles("(1,2,3)", 4)
 
 
-def test_parse_cycles_zero_based():
-    p = parse_cycles("(0,1,2)", 4, zero_based=True)
-    assert p == parse_cycles("(1,2,3)", 4)
-
-
 @pytest.mark.parametrize("bad", ["(1,9)", "(0,1)", "(1,2,2)", "(1,2", "x", ""])
 def test_parse_cycles_errors(bad):
     with pytest.raises(PreconditionError):

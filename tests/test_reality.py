@@ -3,9 +3,9 @@ import random
 import pytest
 
 from beauville.constructions import (
+    H4,
     Abelian2,
     Wallpaper,
-    build_h4,
     dihedral,
     group_from_descriptor,
     parse_descriptor,
@@ -206,13 +206,13 @@ def test_reality_mixed_inner_only_real_needs_a_real_case():
     the pair is biholomorphic to its conjugate but its reality is open.
     (check_mixed fails it on the conjugate sigma sets: the test pins the
     verdict rule, not a structure.)"""
-    from beauville.structures import IndexTwoSubgroup, MixedQuadruple
+    from beauville.structures import MixedQuadruple
 
-    G = build_h4(AlternatingGroup(4))
+    G = H4(AlternatingGroup(4))
     a = (parse_cycles("(1,4,3)", 4), parse_cycles("(1,3)(2,4)", 4), 2)
     c = (parse_cycles("(1,2,3)", 4), parse_cycles("(1,4,3)", 4), 0)
     assert len(generated_subgroup(G, [a, c])) == G.index2_order
-    verdict = reality_mixed(G, MixedQuadruple(G, IndexTwoSubgroup.h2_of(G), a, c, G.coset_rep))
+    verdict = reality_mixed(G, MixedQuadruple(G, a, c, G.coset_rep))
     entries = verdict.tables[0].entries
     assert (entries[0].labels, entries[4].labels) == (frozenset(), {"inner"})
     assert (verdict.biholo_conjugate, verdict.real) == (True, None)
@@ -221,15 +221,15 @@ def test_reality_mixed_inner_only_real_needs_a_real_case():
 def test_reality_mixed_compatible_synthetic():
     """Components chosen with inversions solvable in a common coset give a
     conjugate-equivalent structure."""
-    from beauville.structures import IndexTwoSubgroup, MixedQuadruple
+    from beauville.structures import MixedQuadruple
 
     H = SL2Group(11)
     k = sl2_constants(11)
     # (B, S) inverts only in the W-coset; pairing it with itself shares that coset.
-    G = build_h4(H)
+    G = H4(H)
     a = (k["B"], k["B"], 2)
     c = (k["S"], k["S"], 2)
-    M = MixedQuadruple(G, IndexTwoSubgroup.h2_of(G), a, c, G.coset_rep)
+    M = MixedQuadruple(G, a, c, G.coset_rep)
     verdict = reality_mixed(G, M)
     assert verdict.biholo_conjugate is True
     assert verdict.real is True
@@ -239,11 +239,11 @@ def test_reality_mixed_outer_class_for_p_1_mod_4():
     """Over SL(2,13), -1 is a square: the only inversions of this pair
     conjugate by a non-square determinant (the sl2:13 case labels of
     tests/test_oracles.py), and the shared label is the outer one."""
-    from beauville.structures import IndexTwoSubgroup, MixedQuadruple
+    from beauville.structures import MixedQuadruple
 
-    G = build_h4(SL2Group(13))
+    G = H4(SL2Group(13))
     a1, c1 = (0, 1, 12, 0), (0, 11, 7, 4)
-    M = MixedQuadruple(G, IndexTwoSubgroup.h2_of(G), (a1, a1, 2), (c1, c1, 2), G.coset_rep)
+    M = MixedQuadruple(G, (a1, a1, 2), (c1, c1, 2), G.coset_rep)
     verdict = reality_mixed(G, M)
     assert verdict.tables[0].entries[0].labels == {"slw"}
     assert verdict.biholo_conjugate is True and verdict.real is True

@@ -10,8 +10,10 @@ from beauville.core import PreconditionError
 from beauville.matgroups import PSL2Group, SL2Group
 from beauville.perms import AlternatingGroup, SymmetricGroup
 from beauville.search import (
+    DEFAULT_ENUM_CAP,
     IndexedGroup,
     SearchConstraints,
+    _gallery_candidates,
     _index2_subgroups,
     count_abelian,
     enumerate_unmixed,
@@ -327,6 +329,17 @@ def test_hunt_reality_rejects_budget_below_one():
         for budget in (0, -1):
             with pytest.raises(PreconditionError):
                 hunt_reality(G, "not-biholo", budget=budget)
+
+
+def test_gallery_candidates_stop_at_the_budget():
+    # Past the table cap the hunt reads gallery candidates, at most
+    # ``budget`` of them; SL(2,19) has 20 in all.
+    G = SL2Group(19)
+    assert G.order > DEFAULT_ENUM_CAP
+    every = list(_gallery_candidates(G, 10**6))
+    assert len(every) == 20
+    for budget, count in ((1, 1), (3, 3), (20, 20), (21, 20)):
+        assert list(_gallery_candidates(G, budget)) == every[:count], budget
 
 
 def test_search_constraints_reject_malformed_types():

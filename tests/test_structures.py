@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from beauville.constructions import Abelian2, Wallpaper, build_h4, dihedral
+from beauville.constructions import H4, Abelian2, Wallpaper, dihedral
 from beauville.core import (
     DEFAULT_CLOSURE_CAP,
     InconsistencyError,
@@ -22,7 +22,6 @@ from beauville.matgroups import (
 )
 from beauville.perms import AlternatingGroup, SymmetricGroup, parse_cycles, pinv, pmul
 from beauville.structures import (
-    IndexTwoSubgroup,
     MixedQuadruple,
     UnmixedStructure,
     check_mixed,
@@ -189,13 +188,16 @@ def test_check_unmixed_report_json_roundtrip():
 
 def test_check_mixed_precondition_g_inside():
     H = SL2Group(5)
-    G = build_h4(H)
-    M = MixedQuadruple(G, IndexTwoSubgroup.h2_of(G),
-                       (H.generators[0], H.generators[1], 2),
+    G = H4(H)
+    M = MixedQuadruple(G, (H.generators[0], H.generators[1], 2),
                        (H.generators[1], H.generators[0], 2),
                        (H.identity, H.identity, 2))  # inside the subgroup
     with pytest.raises(PreconditionError):
         check_mixed(G, M)
+    # The index-2 subgroup is the even-twist subgroup of H4(H); no other
+    # group carries one.
+    with pytest.raises(PreconditionError, match="swap products"):
+        check_mixed(H, MixedQuadruple(H, *H.generators[:2], H.identity))
 
 
 def test_check_mixed_rejects_abelian_subgroup():
@@ -204,10 +206,10 @@ def test_check_mixed_rejects_abelian_subgroup():
     from beauville.constructions import Cyclic
 
     H = Cyclic(5)
-    G = build_h4(H)
+    G = H4(H)
     a = (1, 2, 2)
     c = (2, 1, 2)
-    M = MixedQuadruple(G, IndexTwoSubgroup.h2_of(G), a, c, G.coset_rep)
+    M = MixedQuadruple(G, a, c, G.coset_rep)
     rep = check_mixed(G, M)
     gen = next(c_ for c_ in rep.conditions if c_.id == "generates-subgroup")
     if gen.ok:
@@ -353,10 +355,10 @@ def test_check_mixed_full_on_small_product():
     """Fully materialized mixed check on a swap product small enough for
     closure; the sample quadruple fails generation, exercising the path."""
     H = dihedral(3)
-    G = build_h4(H)
+    G = H4(H)
     a = ((1, 0), (0, 1), 2)
     c = ((0, 1), (1, 0), 2)
-    M = MixedQuadruple(G, IndexTwoSubgroup.h2_of(G), a, c, G.coset_rep)
+    M = MixedQuadruple(G, a, c, G.coset_rep)
     rep = check_mixed(G, M)
     assert rep.verdict == "fail"
     assert [(cond.id, cond.ok) for cond in rep.conditions] == [("generates-subgroup", False)]
@@ -368,7 +370,7 @@ def test_check_mixed_sigma_conditions_against_brute_force():
     of each failing kind are checked against sigma_naive over the
     closure of (a, c) and a direct scan of the coset g*<a, c>."""
     H = SL2Group(3)
-    G = build_h4(H)
+    G = H4(H)
     h_elems = sorted(H.elements(), key=repr)
     g, e = G.coset_rep, G.identity
     rng = random.Random(2304)
@@ -377,7 +379,7 @@ def test_check_mixed_sigma_conditions_against_brute_force():
     for _ in range(400):
         a, c = ((rng.choice(h_elems), rng.choice(h_elems), rng.choice((0, 2)))
                 for _ in range(2))
-        M = MixedQuadruple(G, IndexTwoSubgroup.h2_of(G), a, c, g)
+        M = MixedQuadruple(G, a, c, g)
         rep = check_mixed(G, M)
         assert rep.verdict == "fail"
         cid = rep.conditions[-1].id
