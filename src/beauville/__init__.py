@@ -61,12 +61,10 @@ from .structures import (
     PairMetrics,
     UnmixedStructure,
     check_mixed,
-    check_mixed_vz3,
     check_unmixed,
     genus,
     pair_metrics,
     sigma_set,
-    vz3_quadruple,
 )
 
 __version__ = "0.1.0"

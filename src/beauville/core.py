@@ -52,14 +52,11 @@ class Group:
     conjugacy rule implements ``class_label(x)``: a hashable label, equal
     for two elements exactly when they are conjugate; sigma-set
     disjointness then compares labels instead of searching classes.
-    ``perfect`` is True only where the group is known to equal its own
-    commutator subgroup.
     Contexts are immutable after construction; all operations are pure.
     """
 
     kind: str = "abstract"
     generation_certificate: str = "closure"
-    perfect: bool = False
 
     @property
     def identity(self):

@@ -386,7 +386,6 @@ class SL2Group(Group):
     def __init__(self, p: int):
         _check_odd_prime(p)
         self.p = p
-        self.perfect = p >= 5
         consts = sl2_constants(p)
         self._gens = [consts["B"], consts["S"]]
 
@@ -436,7 +435,6 @@ class PSL2Group(Group):
     def __init__(self, p: int):
         _check_odd_prime(p)
         self.p = p
-        self.perfect = p >= 5
         consts = sl2_constants(p)
         self._gens = [psl_canon(consts["B"], p), psl_canon(consts["S"], p)]
 

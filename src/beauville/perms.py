@@ -455,7 +455,6 @@ class AlternatingGroup(Group):
         if n < 3:
             raise PreconditionError("alternating degree must be >= 3")
         self.n = n
-        self.perfect = n >= 5
         long_cycle = list(range(n)) if n % 2 == 1 else list(range(1, n))
         self._gens = [cycle_to_perm([0, 1, 2], n), cycle_to_perm(long_cycle, n)]
 

@@ -22,6 +22,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, partial
 
+from .constructions import H4
 from .core import (
     CapacityExceeded,
     Group,
@@ -474,8 +475,6 @@ def reality_mixed(G: Group, u: MixedQuadruple) -> RealityVerdict:
     outer label.  Over any other group only inner automorphisms are
     tried, and the verdict is never negative.
     """
-    from .constructions import H4
-
     if not isinstance(G, H4) or not isinstance(G.inner, SL2Group):
         table = lemma_case_table(G, (u.a, u.c))
         decided_by = "inner-only (incomplete)"

@@ -27,6 +27,7 @@ from .core import (
     generates,
     orbit,
 )
+from .matgroups import SL2Group, mneg
 
 
 # -- pair metrics -----------------------------------------------------------
@@ -308,19 +309,23 @@ def check_mixed(G: Group, M: MixedQuadruple,
     An abelian index-2 subgroup fails outright (no mixed structure has
     one).  Condition 3 runs over the nontrivial coset: the squares of
     its elements must avoid the sigma set; condition 4 intersects the
-    sigma set with its image under conjugation by g.
+    sigma set with its image under conjugation by g.  H4(SL(2,p)),
+    p >= 5, is decided by class labels; other groups by the closure of
+    (a, c), capped at ``subgroup_cap`` elements.
     """
     if not isinstance(G, H4):
         raise PreconditionError("mixed structures are checked on swap products H4(H)")
-    report = CheckReport(verdict="undecided")
     in_sub, order = G.in_index2, G.index2_order
     if in_sub(M.g):
         raise PreconditionError("coset representative g lies in the index-2 subgroup")
+    if isinstance(G.inner, SL2Group) and G.inner.p >= 5:
+        return _mixed_by_labels(G, M)
+    report = CheckReport(verdict="undecided")
 
     if order > subgroup_cap:
         _condition(report, "generates-subgroup", None, "closure",
-                   "subgroup too large for closure; use the inner-criteria "
-                   "checker for swap products")
+                   f"index-2 subgroup has {order} elements, over the subgroup "
+                   f"cap {subgroup_cap}")
         return _settle(report)
     # With a and c in the subgroup, their closure lies in it and stays
     # under the cap; it is also the element list of the coset scan.
@@ -383,49 +388,52 @@ def check_mixed(G: Group, M: MixedQuadruple,
     return _settle(report)
 
 
-def check_mixed_vz3(H: Group, a1, c1, a2, c2,
-                    closure_cap: int = DEFAULT_CLOSURE_CAP) -> CheckReport:
-    """Inner criteria certifying a mixed structure on the swap product.
+def _mixed_by_labels(G: H4, M: MixedQuadruple) -> CheckReport:
+    """The mixed conditions on H4(H), H = SL(2,p) with p >= 5, from H.
 
-    A pass certifies that ((a1, a2, 2), (c1, c2, 2)) with the even-twist
-    subgroup is a mixed structure on H4(H) without touching the big
-    group: a1 and c1 have even order; a1^2, a1*c1, c1^2 generate H (or
-    a1, c1 alone when ``H.perfect``, which has no index-2 subgroup); a2, c2 generate H; and the two nu
-    values are coprime.
+    The subgroup is H x H x <z>, z = (I, I, 2) central (README, "Notes
+    on strategy").  H is perfect with {+-I} its only proper nontrivial
+    normal subgroup, so by Goursat's lemma <a, c> is the subgroup iff
+    both components generate H, no automorphism sends (a1, c1) to
+    (+-a2, +-c2), and the twists are even, not both 0.  A class is a
+    label triple (label(x), label(y), t).  The odd-twist squares are
+    the (w, w', 2) with w ~ w', and conjugation by g swaps the labels.
     """
+    from .reality import backend_for  # reality imports this module
+
+    H = G.inner
+    p, label = H.p, H.class_label
     report = CheckReport(verdict="undecided")
-    for x in (a1, c1, a2, c2):
-        H.check_element(x)
-    ord_a1, ord_c1 = H.element_order(a1), H.element_order(c1)
-    _condition(report, "even-orders", ord_a1 % 2 == 0 and ord_c1 % 2 == 0,
-               "order-arithmetic", f"orders ({ord_a1}, {ord_c1})")
-    pair_strategy = H.generation_certificate
-    try:
-        if H.perfect:
-            cid, strategy = "first-pair-generates", f"{pair_strategy} (perfect shortcut)"
-            ok = generates(H, a1, c1, cap=closure_cap)
-        else:
-            cid, strategy = "squares-generate", "closure"
-            closure = generated_subgroup(
-                H, [H.mul(a1, a1), H.mul(a1, c1), H.mul(c1, c1)], cap=closure_cap)
-            ok = len(closure) == H.order
-        _condition(report, cid, ok, strategy)
-    except (CapacityExceeded, UndecidedError):
-        _condition(report, cid, None, strategy, "over cap")
-    try:
-        ok2 = generates(H, a2, c2, cap=closure_cap)
-        _condition(report, "second-pair-generates", ok2, pair_strategy)
-    except UndecidedError:
-        _condition(report, "second-pair-generates", None, pair_strategy, "over cap")
-    nu1 = pair_metrics(H, a1, c1).nu
-    nu2 = pair_metrics(H, a2, c2).nu
-    g = math.gcd(nu1, nu2)
-    _condition(report, "coprime-nu", g == 1, "order-arithmetic",
-               f"nu values ({nu1}, {nu2}), gcd {g}")
+    powers = _powers(G, M.a, M.c)
+    (a1, a2, ta), (c1, c2, tc) = M.a, M.c
+    gen_ok = ({ta, tc} in ({2}, {0, 2})
+              and H.generates_pair(a1, c1) and H.generates_pair(a2, c2))
+    if gen_ok:
+        solve = backend_for(H).solve
+        gen_ok = not any(solve(H, a1, c1, u, v).labels
+                         for u in (a2, mneg(a2, p)) for v in (c2, mneg(c2, p)))
+    _condition(report, "generates-subgroup", gen_ok, "goursat",
+               None if gen_ok else "pair does not generate the index-2 subgroup")
+    if not gen_ok:
+        return _settle(report)
+
+    # The subgroup contains H x H, which is not abelian.
+    _condition(report, "nonabelian-subgroup", True, "goursat")
+
+    triples = [(label(x), label(y), t) for x, y, t in powers]
+    sigma = set(triples)
+    square = next((y for y, (k1, k2, t) in zip(powers, triples) if k1 == k2 and t == 2),
+                  None)
+    _condition(report, "coset-squares", square is None, "class-labels",
+               None if square is None else "some (g*gamma)^2 lies in the sigma set")
+    if square is not None:
+        # gamma = g^-1 (y1, I, 1) gives (g gamma)^2 = (y1, y1, 2).
+        report.witness = G.mul(G.inv(M.g), (square[0], H.identity, 1))
+        return _settle(report)
+
+    common = [y for y, (k1, k2, t) in zip(powers[1:], triples[1:]) if (k2, k1, t) in sigma]
+    _condition(report, "conjugate-sigma-intersection", not common, "class-labels",
+               None if not common else "sigma meets its g-conjugate nontrivially")
+    if common:
+        report.witness = min(common, key=repr)
     return _settle(report)
-
-
-def vz3_quadruple(H: Group, a1, c1, a2, c2) -> MixedQuadruple:
-    """Materialize the certified structure on the swap product."""
-    G = H4(H)
-    return MixedQuadruple(G, (a1, a2, 2), (c1, c2, 2), G.coset_rep)

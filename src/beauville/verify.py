@@ -28,7 +28,6 @@ from .matgroups import (
     minv,
     mmul,
     mult_order_element,
-    sl2_constants,
     split_conjugator,
 )
 from .perms import (
@@ -58,7 +57,7 @@ from .search import (
 )
 from .structures import (
     UnmixedStructure,
-    check_mixed_vz3,
+    check_mixed,
     check_unmixed,
     pair_metrics,
     sigma_naive,
@@ -277,14 +276,11 @@ def _crit_alt16_skew():
 
 
 def _crit_mixed_11():
-    consts = sl2_constants(11)
-    H = SL2Group(11)
-    second = gallery.sl2_pair_555(11, "sl")
-    rep = check_mixed_vz3(H, consts["B"], consts["S"], second.a, second.c)
-    if not rep.passed:
-        return False, f"inner criteria: {rep.verdict}"
     M = gallery.h4_mixed_structure(11)
     G = M.group
+    rep = check_mixed(G, M)
+    if not rep.passed:
+        return False, f"exact mixed check: {rep.verdict}"
     orders = (G.element_order(M.a), G.element_order(M.c),
               G.element_order(G.mul(G.inv(M.a), G.inv(M.c))))
     if orders != (20, 30, 55):
@@ -292,7 +288,7 @@ def _crit_mixed_11():
     verdict = reality_mixed(G, M)
     if verdict.biholo_conjugate is not False:
         return False, f"conjugate-biholomorphism verdict {verdict.biholo_conjugate}"
-    return True, "inner criteria pass; orders (20,30,55); not biholomorphic to conjugate"
+    return True, "exact mixed check passes; orders (20,30,55); not biholomorphic to conjugate"
 
 
 def _crit_coset_dichotomy_11():
@@ -491,7 +487,8 @@ CRITERIA = [
               "skew pair (13,14,14): witness identities, empty inversion searches",
               120, False, _crit_alt16_skew),
     Criterion("mixed-sl2-11",
-              "mixed structure over SL(2,11): inner criteria, orders, not conjugate-biholomorphic",
+              "mixed structure over SL(2,11): exact mixed check, orders, "
+              "not conjugate-biholomorphic",
               300, False, _crit_mixed_11),
     Criterion("coset-dichotomy-11",
               "p=11 inversion solvable in exactly the coset matching the square class",

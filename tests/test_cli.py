@@ -2,7 +2,7 @@ import json
 import subprocess
 import sys
 
-from beauville.constructions import Abelian2
+from beauville.constructions import H4, Abelian2
 from beauville.gallery import h4_mixed_structure, sym_structure
 from beauville.literals import (
     element_from_json,
@@ -14,7 +14,7 @@ from beauville.literals import (
 )
 from beauville.matgroups import SL2Group
 from beauville.perms import SymmetricGroup
-from beauville.structures import UnmixedStructure, sigma_set
+from beauville.structures import MixedQuadruple, UnmixedStructure, sigma_set
 
 
 def run_bv(*args, stdin=None):
@@ -99,11 +99,31 @@ def test_cli_count_abelian_json():
     assert data["orbits"] == 1
 
 
-def test_cli_check_mixed_undecided_exit():
-    gal = run_bv("gallery", "h4-mixed", "--p", "11", "--json")
-    assert gal.returncode == 0
-    chk = run_bv("check-mixed", "--stdin", "--json", stdin=gal.stdout)
-    assert chk.returncode == 2  # subgroup beyond closure budget: undecided
+def test_cli_check_mixed_passes_gallery_structures():
+    # H4(SL(2,p)) is decided from class labels, past any closure budget.
+    for p in (11, 31, 71):
+        M = h4_mixed_structure(p)
+        chk = run_bv("check-mixed", "--stdin", "--json",
+                     stdin=json.dumps(structure_to_json(M)))
+        assert chk.returncode == 0, (p, chk.stderr)
+        assert json.loads(chk.stdout)["verdict"] == "pass"
+
+
+def test_cli_check_mixed_undecided_exit(tmp_path, monkeypatch):
+    # Over SL(2,3) the index-2 subgroup (1,152 of the 2,304 elements) is
+    # closed; a subgroup cap below its order leaves the structure undecided.
+    H = SL2Group(3)
+    G = H4(H)
+    B, S = H.generators
+    path = tmp_path / "h4-sl2-3.json"
+    path.write_text(json.dumps(structure_to_json(
+        MixedQuadruple(G, (B, S, 2), (S, B, 2), G.coset_rep))))
+    monkeypatch.setenv("BV_CAPS", "subgroup=1000")
+    chk = run_bv("check-mixed", "--file", str(path), "--json")
+    assert chk.returncode == 2, chk.stderr
+    report = json.loads(chk.stdout)
+    assert report["verdict"] == "undecided"
+    assert "1152 elements" in report["conditions"][0]["detail"]
 
 
 def test_cli_reality_mixed():

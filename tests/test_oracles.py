@@ -20,7 +20,10 @@ apply every generator of the equivalence group at every point, and the
 swap route of the unmixed reality verdict against key-orbit membership.
 The case labels of SL(2,13) are checked against a sweep over GL(2,13).  The
 mixed case tables on H4(SL(2,p)) are checked against an extension walk
-on the even-twist subgroup and against a GL(2,p) sweep.
+on the even-twist subgroup and against a GL(2,p) sweep.  The class-label
+branch of ``check_mixed`` on H4(SL(2,5)) and H4(SL(2,7)) is checked
+against its closure path, run on H4 over a table copy of SL(2,p), with
+each witness checked against ``sigma_naive``.
 """
 
 import random
@@ -1098,6 +1101,9 @@ class _TableGroup:
     def inv(self, x):
         return self.inverse[x]
 
+    def contains(self, x):
+        return isinstance(x, int) and 0 <= x < self.order
+
 
 def _extends(G, a, c, u, v):
     """Whether a -> u, c -> v extends to an automorphism of the swap
@@ -1183,3 +1189,72 @@ def test_mixed_case_labels_against_gl2_sweep(p, count):
         want = _gl2_mixed_labels(p, *quadruple)
         assert {i: entries[i].labels if entries[i] else frozenset() for i in (0, 3)} == want, k
         assert all(entries[i] is None for i in (1, 2, 4, 5))
+
+
+def _check_mixed_both_ways(G, ids, a, c):
+    """check_mixed of (a, c) on G = H4(SL(2,p)), by class labels, after
+    checking its verdict and conditions against the closure path, which
+    runs on H4 over ``ids``, a table copy of SL(2,p) that check_mixed
+    does not recognise.  A witness of a sigma condition is checked
+    against sigma_naive over the closure of the pair."""
+    G_ids = H4(ids)
+
+    def to_ids(x):
+        return (ids.index[x[0]], ids.index[x[1]], x[2])
+
+    rep = check_mixed(G, MixedQuadruple(G, a, c, G.coset_rep))
+    a, c = to_ids(a), to_ids(c)
+    closure = check_mixed(G_ids, MixedQuadruple(G_ids, a, c, G_ids.coset_rep))
+    assert rep.verdict == closure.verdict
+    assert [(x.id, x.ok) for x in rep.conditions] == [(x.id, x.ok) for x in closure.conditions]
+    cid = rep.conditions[-1].id
+    if rep.verdict == "fail" and cid != "generates-subgroup":
+        # z = (I, I, 2) is central, so the twist-0 half of the closure
+        # conjugates as the whole closure does.
+        half = [x for x in generated_subgroup(G_ids, [a, c]) if x[2] == 0]
+        sigma = sigma_naive(G_ids, a, c, half)
+        w, g = to_ids(rep.witness), G_ids.coset_rep
+        assert G_ids.in_index2(w)
+        if cid == "coset-squares":
+            assert G_ids.power(G_ids.mul(g, w), 2) in sigma
+        else:
+            assert w != G_ids.identity and w in sigma and conjugate(G_ids, w, g) in sigma
+    return rep
+
+
+def test_check_mixed_labels_against_closure_sl2_5():
+    """Seeded pairs of H4(SL(2,5)), whose even-twist subgroup has 28,800
+    elements, with twists 0 or 2, and two pairs that fail Goursat's
+    condition alone: the second components are a signed image of the
+    first, under the identity and under the outer automorphism.  One
+    seeded pair fails the conjugate-sigma condition only through label
+    triples (K, K, 0), which are their own swaps."""
+    H = SL2Group(5)
+    G = H4(H)
+    elements = sorted(H.elements(), key=repr)
+    rng = random.Random(104)
+    pairs = [tuple((rng.choice(elements), rng.choice(elements), rng.choice((0, 2)))
+                   for _ in range(2)) for _ in range(30)]
+    B, S = H.generators
+    outer = backend_for(H).outer[0]
+    pairs += [((B, B, 2), (S, mneg(S, 5), 2)), ((B, outer(B), 2), (S, outer(S), 0))]
+    ids = _TableGroup(H)
+    failed = {}
+    for a, c in pairs:
+        rep = _check_mixed_both_ways(G, ids, a, c)
+        assert rep.verdict == "fail"
+        cid = rep.conditions[-1].id
+        failed[cid] = failed.get(cid, 0) + 1
+    assert failed == {"generates-subgroup": 29, "coset-squares": 1,
+                      "conjugate-sigma-intersection": 2}
+
+
+def test_check_mixed_labels_against_closure_sl2_7_passes():
+    """Two twist-2 pairs of H4(SL(2,7)), whose even-twist subgroup has
+    225,792 elements, that both paths pass."""
+    G = H4(SL2Group(7))
+    ids = _TableGroup(G.inner)
+    quadruples = _twist2_quadruples(7, 2009, 39)
+    for k in (0, 38):
+        a1, a2, c1, c2 = quadruples[k]
+        assert _check_mixed_both_ways(G, ids, (a1, a2, 2), (c1, c2, 2)).passed, k

@@ -6,33 +6,22 @@ import pytest
 
 from beauville.constructions import H4, Abelian2, Wallpaper, dihedral
 from beauville.core import (
-    DEFAULT_CLOSURE_CAP,
     InconsistencyError,
     PreconditionError,
     generated_subgroup,
 )
-from beauville.matgroups import (
-    PSL2Group,
-    SL2Group,
-    diag_mat,
-    minv,
-    mmul,
-    sl2_constants,
-    split_conjugator,
-)
-from beauville.perms import AlternatingGroup, SymmetricGroup, parse_cycles, pinv, pmul
+from beauville.matgroups import SL2Group, sl2_constants
+from beauville.perms import SymmetricGroup, parse_cycles, pinv, pmul
 from beauville.structures import (
     MixedQuadruple,
     UnmixedStructure,
     check_mixed,
-    check_mixed_vz3,
     check_unmixed,
     genus,
     pair_metrics,
     sigma_naive,
     sigma_set,
     try_sigma_disjoint,
-    vz3_quadruple,
 )
 
 
@@ -216,139 +205,6 @@ def test_check_mixed_rejects_abelian_subgroup():
         nonab = next(c_ for c_ in rep.conditions if c_.id == "nonabelian-subgroup")
         assert nonab.ok is False
     assert rep.verdict == "fail"
-
-
-def test_vz3_examples():
-    H = SL2Group(11)
-    k = sl2_constants(11)
-    lam = 5
-    D = diag_mat(11, lam)
-    g = split_conjugator(11, lam)
-    c2 = mmul(mmul(g, D, 11), minv(g, 11), 11)
-    rep = check_mixed_vz3(H, k["B"], k["S"], D, c2)
-    assert rep.passed
-    # odd-order first element fails hypothesis 1
-    rep_odd = check_mixed_vz3(H, k["T"], k["S"], D, c2)
-    assert rep_odd.verdict == "fail"
-    assert next(c for c in rep_odd.conditions if c.id == "even-orders").ok is False
-    # shared type-product factor fails hypothesis 4
-    rep_shared = check_mixed_vz3(H, k["B"], k["S"], k["B"], k["S"])
-    assert next(c for c in rep_shared.conditions if c.id == "coprime-nu").ok is False
-
-
-def test_vz3_first_condition_named_alike_decided_or_capped():
-    H = dihedral(6)
-    a1, c1 = (1, 1), (0, 1)
-    a2, c2 = H.generators
-    want = ("squares-generate", "closure")
-    decided = check_mixed_vz3(H, a1, c1, a2, c2)
-    capped = check_mixed_vz3(H, a1, c1, a2, c2, closure_cap=3)
-    assert (decided.conditions[1].id, decided.conditions[1].strategy) == want
-    assert (capped.conditions[1].id, capped.conditions[1].strategy) == want
-    # The pair generates D6 but its squares and product do not.
-    assert decided.conditions[1].ok is False
-    assert capped.conditions[1].ok is None and capped.conditions[1].detail == "over cap"
-    # A perfect group has no index-2 subgroup, so the first pair itself
-    # must generate; the SL(2,p) certificate never reaches closure_cap.
-    H = SL2Group(11)
-    k = sl2_constants(11)
-    for cap in (3, DEFAULT_CLOSURE_CAP):
-        rep = check_mixed_vz3(H, k["B"], k["S"], k["B"], k["S"], closure_cap=cap)
-        assert (rep.conditions[1].id, rep.conditions[1].strategy, rep.conditions[1].ok) == \
-            ("first-pair-generates", "orbit-stabilizer (perfect shortcut)", True)
-
-
-def test_perfect_is_a_group_fact():
-    assert [SL2Group(p).perfect for p in (3, 5)] == [False, True]
-    assert [PSL2Group(p).perfect for p in (3, 5)] == [False, True]
-    assert [AlternatingGroup(n).perfect for n in (4, 5)] == [False, True]
-    assert not SymmetricGroup(5).perfect and not dihedral(6).perfect
-
-
-def test_vz3_quadruple_orders():
-    H = SL2Group(11)
-    k = sl2_constants(11)
-    D = diag_mat(11, 5)
-    g = split_conjugator(11, 5)
-    c2 = mmul(mmul(g, D, 11), minv(g, 11), 11)
-    M = vz3_quadruple(H, k["B"], k["S"], D, c2)
-    G = M.group
-    assert G.element_order(M.a) == 20
-    assert G.element_order(M.c) == 30
-    assert G.element_order(G.mul(G.inv(M.a), G.inv(M.c))) == 55
-    assert G.in_index2(M.a) and G.in_index2(M.c) and not G.in_index2(M.g)
-
-
-def test_vz3_pass_implies_mixed_conditions_sampled():
-    """Condition sampling on the order-1320 components: squares from the
-    odd coset stay outside the sigma set and the conjugated sigma only
-    meets it in the identity (component-order profiles are dis joint)."""
-    H = SL2Group(11)
-    k = sl2_constants(11)
-    D = diag_mat(11, 5)
-    g0 = split_conjugator(11, 5)
-    c2 = mmul(mmul(g0, D, 11), minv(g0, 11), 11)
-    M = vz3_quadruple(H, k["B"], k["S"], D, c2)
-    G = M.group
-    rng = random.Random(99)
-    h_elems = sorted(generated_subgroup(H, H.generators), key=repr)
-    # condition 3 sample: (g*gamma)^2 != 1 for random gamma in the subgroup
-    for _ in range(200):
-        gamma = (rng.choice(h_elems), rng.choice(h_elems), rng.choice((0, 2)))
-        x = G.mul(M.g, gamma)
-        assert G.mul(x, x) != G.identity
-    # condition 4 sample: powers of a, c, ac conjugated into the swap image
-    # have incompatible component-order profiles
-    first_orders = {1, 2, 4, 3, 6, 11, 22}  # divisors of orders of B, S, BS powers
-    second_orders = {1, 5}
-    seeds = [M.a, M.c, G.mul(M.a, M.c)]
-    for x in seeds:
-        for e in range(1, G.element_order(x)):
-            y = G.power(x, e)
-            o1 = H.element_order(y[0])
-            o2 = H.element_order(y[1])
-            if y == G.identity:
-                continue
-            assert o1 in first_orders and o2 in second_orders
-            # an element of the conjugated sigma set has the swapped profile;
-            # membership in both forces both components trivial
-            assert not (o1 in second_orders and o2 in first_orders) or (o1 == o2 == 1)
-
-
-@pytest.mark.slow
-def test_vz3_pass_implies_check_mixed_small_exhaustive():
-    """Inner criteria imply the full mixed conditions on the swap product,
-    cross-validated over small component groups.  Coprimality of the two
-    type products is extremely restrictive at this scale, so most
-    candidate quadruples are rejected before any closure work; every
-    survivor is checked both ways."""
-    import itertools
-
-    from beauville.constructions import Cyclic, dicyclic
-
-    examined = checked = 0
-    for H in (dihedral(3), dicyclic(2), dicyclic(3), dihedral(6)):
-        els = sorted(generated_subgroup(H, H.generators), key=repr)
-        evens = [x for x in els if H.element_order(x) % 2 == 0]
-        for a1, c1 in itertools.product(evens, evens):
-            nu1 = pair_metrics(H, a1, c1).nu
-            for a2, c2 in itertools.product(els, els):
-                if math.gcd(nu1, pair_metrics(H, a2, c2).nu) != 1:
-                    continue
-                examined += 1
-                rep = check_mixed_vz3(H, a1, c1, a2, c2)
-                if not rep.passed:
-                    continue
-                checked += 1
-                M = vz3_quadruple(H, a1, c1, a2, c2)
-                full = check_mixed(M.group, M)
-                assert full.passed, (H.descriptor(), a1, c1, a2, c2)
-    # The implication is vacuous here: the first pair has even orders, so
-    # a coprime type product forces odd orders on the second, and the
-    # odd-order elements of these groups lie in a proper cyclic subgroup.
-    # All 644 candidates fail the inner criteria; the SL(2,11) sampling
-    # test exercises a genuine pass.
-    assert (examined, checked) == (644, 0)
 
 
 def test_check_mixed_full_on_small_product():
