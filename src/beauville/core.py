@@ -178,11 +178,11 @@ def generates(G: Group, a, c, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
 
     A backend's ``generates_pair`` decides exactly, named by its
     ``generation_certificate``: a known-order stabilizer chain for S_n
-    and A_n (``perms.generates_known_order``), orbit-stabilizer on
-    vectors for SL(2,p) and PSL(2,p), a determinant for (Z/n)^2.  The
-    other backends compare a closure against the known order; only they
-    use ``cap``, and past it an UndecidedError is raised (never a wrong
-    boolean).
+    and A_n (``perms.generates_known_order``), Dickson's subgroup list
+    read off the trace triple for SL(2,p) and PSL(2,p), a determinant
+    for (Z/n)^2.  The other backends compare a closure against the known
+    order; only they use ``cap``, and past it an UndecidedError is raised
+    (never a wrong boolean).
     """
     G.check_element(a)
     G.check_element(c)

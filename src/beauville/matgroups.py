@@ -10,9 +10,11 @@ nonzero entry lies in 1..(p-1)/2.
 from __future__ import annotations
 
 from .core import (
+    CapacityExceeded,
     Group,
     InconsistencyError,
     PreconditionError,
+    orbit,
 )
 
 Mat2 = tuple  # (a, b, c, d) row-major
@@ -310,50 +312,48 @@ def conjugation_cosets(p: int, a: Mat2, aT: Mat2, c: Mat2, cT: Mat2) -> dict:
     }
 
 
-# -- generation by orbit-stabilizer ------------------------------------------
+# -- generation from the trace triple ----------------------------------------
 
 
-def generates_sl2(p: int, a: Mat2, c: Mat2, projective: bool = False) -> bool:
-    """True iff a and c generate SL(2,p), or PSL(2,p) when ``projective``.
+def generates_sl2(p: int, a: Mat2, c: Mat2) -> bool:
+    """True iff a and c generate SL(2,p), read off the trace triple
+    x = tr a, y = tr c, z = tr ac (Macbeath, "Generators of the linear
+    fractional groups", 1969).
 
-    SL(2,p) is transitive on the p^2-1 nonzero vectors of F_p^2, and the
-    stabilizer of e1 is the unipotent group [[1, t], [0, 1]], of prime
-    order p.  So <a, c> = SL(2,p) iff the orbit of e1 under a and c holds
-    every nonzero vector and the stabilizer of e1 in <a, c> is not
-    trivial, that is iff some Schreier generator u_{gx}^-1 g u_x is not
-    the identity.  PSL(2,p) acts on the (p^2-1)/2 vectors up to sign,
-    with a stabilizer of order p again; there a Schreier generator is
-    trivial when it is +-I.
+    By Dickson (Huppert, Endliche Gruppen I, II.8.27) a proper subgroup
+    H = <a, c> is of one of three kinds, each with an exact test:
+    - reducible: a and c share an eigenvector over the algebraic closure,
+      so H is triangular: solvable with a p-group as derived subgroup,
+      which SL(2,p) is not.  This holds iff tr[a, c] = 2, and the Fricke
+      identity gives tr[a, c] = x^2 + y^2 + z^2 - xyz - 2.
+    - dihedral: H/{+-I} is dihedral, in the normalizer of a torus T.  If
+      H is irreducible, two of a, c, ac lie outside T, where every trace
+      is 0; conversely two elements of trace 0 are involutions mod +-I,
+      and generate a dihedral image.
+    - exceptional: H/{+-I} is A4, S4 or A5, so |H| <= 120 = |2.A5| and
+      a, c, ac have projective order at most 5 (g^k = +-I, k <= 5).
+      Past +-I, which only reducible pairs reach, that is a trace t with
+      t (t^2 - 1)(t^2 - 2)(t^4 - 3t^2 + 1) = 0 (eigenvalues of order 3,
+      4, 5, 6, 8, 10); unipotents have projective order p.  A closure
+      capped at 120 decides: past 120 elements only SL(2,p) is left, and
+      below it the pair generates iff |SL(2,p)| is reached (p = 3, 5).
+    Any other triple generates.
 
-    The transversal keeps u_x with u_x e1 = x (up to sign), so the
-    Schreier generator of the edge (x, g) is trivial iff g u_x equals
-    u_{gx} (up to sign): one comparison per edge.
+    PSL(2,p) elements are det-1 lifts whose images generate PSL(2,p) iff
+    they generate SL(2,p): SL(2,p) is perfect for p >= 5, and SL(2,3)
+    has no subgroup of order 12, so none has a subgroup of index 2.
     """
-    # Not core.orbit: the search keeps a transversal and tests Schreier generators.
-    half = (p - 1) // 2
-    ident = mat_id(p)
-    trans = {(1, 0): ident}
-    frontier = [ident]
-    stabilizer_nontrivial = False
-    while frontier:
-        new = []
-        for u in frontier:
-            for g in (a, c):
-                w = mmul(g, u, p)
-                x, y = w[0], w[2]
-                if projective:
-                    w = psl_canon(w, p)
-                    if x > half or (x == 0 and y > half):
-                        x, y = (-x) % p, (-y) % p
-                known = trans.get((x, y))
-                if known is None:
-                    trans[(x, y)] = w
-                    new.append(w)
-                elif known != w:
-                    stabilizer_nontrivial = True
-        frontier = new
-    orbit_size = (p * p - 1) // 2 if projective else p * p - 1
-    return len(trans) == orbit_size and stabilizer_nontrivial
+    x, y, z = mtrace(a, p), mtrace(c, p), mtrace(mmul(a, c, p), p)
+    if (x * x + y * y + z * z - x * y * z - 4) % p == 0 or (x, y, z).count(0) >= 2:
+        return False
+    if all(t * (t * t - 1) * (t * t - 2) * (t ** 4 - 3 * t * t + 1) % p == 0 for t in (x, y, z)):
+        try:
+            size = len(orbit([mat_id(p)], lambda g: (mmul(g, a, p), mmul(g, c, p)),
+                             120, "exceptional subgroup"))
+        except CapacityExceeded:
+            return True
+        return size == p * (p * p - 1)
+    return True
 
 
 # -- conjugacy classes --------------------------------------------------------
@@ -381,7 +381,7 @@ def sl2_class_label(p: int, x: Mat2):
 
 class SL2Group(Group):
     kind = "sl2"
-    generation_certificate = "orbit-stabilizer"
+    generation_certificate = "trace-triple"
 
     def __init__(self, p: int):
         _check_odd_prime(p)
@@ -430,7 +430,7 @@ class SL2Group(Group):
 
 class PSL2Group(Group):
     kind = "psl2"
-    generation_certificate = "orbit-stabilizer"
+    generation_certificate = "trace-triple"
 
     def __init__(self, p: int):
         _check_odd_prime(p)
@@ -470,7 +470,7 @@ class PSL2Group(Group):
         return psl_canon(x, self.p)
 
     def generates_pair(self, a, c) -> bool:
-        return generates_sl2(self.p, a, c, projective=True)
+        return generates_sl2(self.p, a, c)
 
     def class_label(self, x) -> frozenset:
         # x and -x are one element here: conjugate iff x ~ +-y in SL(2,p).

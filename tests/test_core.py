@@ -113,12 +113,13 @@ def test_generates_undecided_over_cap():
     with pytest.raises(UndecidedError):
         generates(G, a, c, cap=100)
     assert generates(G, a, c, cap=G.order)
-    # SL(2,11) (order 1320) is decided by orbit-stabilizer, not by closure,
-    # so the cap does not bind either way.
-    H = SL2Group(11)
-    consts = sl2_constants(11)
-    assert generates(H, consts["B"], consts["S"], cap=100) is True
-    assert generates(H, consts["T"], diag_mat(11, 2), cap=100) is False
+    # SL(2,p) is decided by the trace triple, not by the caller's closure,
+    # so the cap does not bind either way, up to SL(2,71) (order 357,840).
+    for p in (11, 71):
+        H = SL2Group(p)
+        consts = sl2_constants(p)
+        assert generates(H, consts["B"], consts["S"], cap=100) is True
+        assert generates(H, consts["T"], diag_mat(p, 2), cap=100) is False
 
 
 def test_generates_cross_check_closure_vs_chain():

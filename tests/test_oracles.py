@@ -2,9 +2,11 @@
 class labels, the catalogue scan, the integer-id search core and the
 equivalence orbits.
 
-The known-order stabilizer chain (S_n, A_n) and orbit-stabilizer on
-vectors (SL(2,p), PSL(2,p)) are checked against the deterministic chain
-``bsgs_order`` and against closure, which know nothing of either.  Class
+The known-order stabilizer chain (S_n, A_n) and the trace-triple
+certificate (SL(2,p), PSL(2,p)) are checked against the deterministic
+chain ``bsgs_order`` and against closure, which know nothing of either,
+and the trace triple against the orbit-stabilizer walk on vectors that
+it replaced, with every branch of Dickson's list reached.  Class
 labels, and the sigma test built on them, are checked against the
 conjugacy-class search.  The
 unmixed catalogue scan is checked against a brute force that uses
@@ -27,13 +29,13 @@ each witness checked against ``sigma_naive``.
 """
 
 import random
-from collections import deque
+from collections import Counter, deque
 from functools import lru_cache, partial
 from itertools import islice
 
 import pytest
 
-from beauville import core, gallery, perms, search
+from beauville import core, gallery, matgroups, perms, search
 from beauville.constructions import (
     H4,
     Abelian2,
@@ -58,10 +60,12 @@ from beauville.matgroups import (
     SL2Group,
     diag_mat,
     is_square,
+    mat_id,
     mdet,
     minv,
     mmul,
     mneg,
+    psl_canon,
     sl2_constants,
 )
 from beauville.perms import (
@@ -138,6 +142,8 @@ def no_closure(monkeypatch):
         raise AssertionError("closure ran for a backend with its own certificate")
 
     monkeypatch.setattr(core, "generated_subgroup", refuse)
+    # The exceptional branch of the trace triple closes through core.orbit.
+    monkeypatch.setattr(matgroups, "orbit", refuse)
 
 
 @pytest.mark.parametrize("G", [SymmetricGroup(5), AlternatingGroup(5), AlternatingGroup(6)],
@@ -185,23 +191,103 @@ def test_even_pairs_refuted_without_chain(fallbacks):
     assert fallbacks == []
 
 
-@pytest.mark.parametrize("G", [SL2Group(5), PSL2Group(7)], ids=lambda g: f"{g.kind}{g.p}")
-def test_orbit_stabilizer_all_pairs(G):
+def _orbit_stabilizer(p, a, c, projective):
+    """Whether a and c generate SL(2,p) (PSL(2,p) when ``projective``),
+    by a walk over the p^2-1 nonzero vectors of F_p^2 (up to sign).
+
+    SL(2,p) is transitive on them, and the stabilizer of e1 is the
+    unipotent group [[1, t], [0, 1]] of prime order p (in PSL(2,p) too).
+    So <a, c> is everything iff the orbit of e1 holds every vector and
+    some Schreier generator is not trivial (not +-I).  The transversal
+    keeps u_x with u_x e1 = x, so the Schreier generator of the edge
+    (x, g) is trivial iff g u_x equals u_{gx}.
+    """
+    half = (p - 1) // 2
+    trans = {(1, 0): mat_id(p)}
+    frontier = [mat_id(p)]
+    stabilizer_nontrivial = False
+    while frontier:
+        new = []
+        for u in frontier:
+            for g in (a, c):
+                w = mmul(g, u, p)
+                x, y = w[0], w[2]
+                if projective:
+                    w = psl_canon(w, p)
+                    if x > half or (x == 0 and y > half):
+                        x, y = (-x) % p, (-y) % p
+                known = trans.get((x, y))
+                if known is None:
+                    trans[(x, y)] = w
+                    new.append(w)
+                elif known != w:
+                    stabilizer_nontrivial = True
+        frontier = new
+    return len(trans) == (p * p - 1) // (2 if projective else 1) and stabilizer_nontrivial
+
+
+def _dickson_branch(p, a, c, generating):
+    """The outcome of the trace triple on (a, c), found without its
+    polynomials: from a commutator, zero traces, powers and the walk."""
+    ac = mmul(a, c, p)
+    commutator = mmul(ac, mmul(minv(a, p), minv(c, p), p), p)
+    if (commutator[0] + commutator[3]) % p == 2:
+        return "reducible"
+    if [(g[0] + g[3]) % p for g in (a, c, ac)].count(0) >= 2:
+        return "dihedral"
+    signs = (mat_id(p), mneg(mat_id(p), p))
+
+    def projective_order_at_most_5(g):
+        power = g
+        for _ in range(5):
+            if power in signs:
+                return True
+            power = mmul(power, g, p)
+        return False
+
+    if all(projective_order_at_most_5(g) for g in (a, c, ac)):
+        return "small-orders-generating" if generating else "exceptional-proper"
+    return "trace-generating"
+
+
+@pytest.mark.parametrize("G, split", [
+    (SL2Group(11), {"reducible": 3980, "dihedral": 292, "exceptional-proper": 1856,
+                    "small-orders-generating": 1360, "trace-generating": 12312}),
+    (PSL2Group(11), None),
+], ids=["sl211", "psl211"])
+def test_trace_triple_against_orbit_stabilizer(G, split):
     elements = sorted(G.elements())
-    orbit_size = (G.p ** 2 - 1) // (2 if G.kind == "psl2" else 1)
-    regular = 0
+    branches = Counter()
+    for a in _class_reps(G, elements):
+        for c in elements:
+            want = _orbit_stabilizer(G.p, a, c, G.kind == "psl2")
+            branch = _dickson_branch(G.p, a, c, want)
+            assert G.generates_pair(a, c) == want == branch.endswith("generating"), (a, c)
+            branches[branch] += 1
+    assert set(branches) == {"reducible", "dihedral", "exceptional-proper",
+                             "small-orders-generating", "trace-generating"}
+    if split is not None:
+        assert branches == split
+
+
+@pytest.mark.parametrize("G", [SL2Group(5), PSL2Group(7)], ids=lambda g: f"{g.kind}{g.p}")
+def test_trace_triple_all_pairs(G):
+    elements = sorted(G.elements())
+    exceptional = 0
     for a in _class_reps(G, elements):
         for c in elements:
             size = len(generated_subgroup(G, [a, c]))
             assert G.generates_pair(a, c) == (size == G.order), (a, c)
-            regular += size == orbit_size
-    # 2.A4 in SL(2,5) and S4 in PSL(2,7) act regularly: a full orbit with
-    # only trivial Schreier generators, the second kind of negative.
-    assert regular > 0
+            exceptional += size == (G.p ** 2 - 1) // (2 if G.kind == "psl2" else 1)
+    # 2.A4 in SL(2,5) and S4 in PSL(2,7) are neither reducible nor
+    # dihedral: the exceptional branch's capped closure refuses them, and
+    # accepts SL(2,5) at its full order.
+    assert exceptional > 0
 
 
-@pytest.mark.parametrize("G", [SL2Group(7), PSL2Group(11)], ids=lambda g: f"{g.kind}{g.p}")
-def test_orbit_stabilizer_seeded_pairs(G):
+@pytest.mark.parametrize("G", [SL2Group(3), SL2Group(7), PSL2Group(11)],
+                         ids=lambda g: f"{g.kind}{g.p}")
+def test_trace_triple_seeded_pairs(G):
     rng = random.Random(11)
     elements = sorted(G.elements())
     for _ in range(150):
@@ -209,9 +295,10 @@ def test_orbit_stabilizer_seeded_pairs(G):
         assert G.generates_pair(a, c) == _by_closure(G, a, c), (a, c)
 
 
-def test_regular_subgroups_are_refused():
-    # 2.S4 <= SL(2,7) and A5 <= PSL(2,11) have order p^2-1 and (p^2-1)/2:
-    # transitive on the orbit, yet proper.
+def test_exceptional_subgroups_are_refused():
+    # 2.S4 <= SL(2,7) and A5 <= PSL(2,11): irreducible, not dihedral, and
+    # every element of projective order at most 5, so the exceptional
+    # branch's capped closure decides them.
     for G, size in ((SL2Group(7), 48), (PSL2Group(11), 60)):
         elements = sorted(G.elements())
         rng = random.Random(3)
@@ -261,6 +348,20 @@ def test_large_positives_without_closure_or_fallback(fallbacks, no_closure):
     assert fallbacks == []
 
 
+@pytest.mark.parametrize("p, borel", [(31, (3, 1, 0, 21)), (53, (2, 1, 0, 27)),
+                                      (71, (7, 1, 0, 61))])
+def test_benchmark_scale_sl2_pairs_without_closure(p, borel, no_closure):
+    # The shapes of the benchmark's SL(2,p) requests: a Borel pair (refuted
+    # as reducible) and the (4, 6, p) pair B, S (generating by its traces).
+    G, k = SL2Group(p), sl2_constants(p)
+    assert not generates(G, borel, k["T"])
+    assert generates(G, k["B"], k["S"])
+    if p == 71:
+        # Both pairs of the capped (4, 6, 71), (7, 7, 7) structure check.
+        v = UnmixedStructure(G, k["B"], k["S"], (20, 0, 0, 32), (16, 4, 55, 36))
+        assert check_unmixed(G, v, closure_cap=100_000).verdict == "pass"
+
+
 def test_reports_are_deterministic():
     sym = gallery.sym_structure(8)
     G = SL2Group(13)
@@ -275,7 +376,7 @@ def test_reports_are_deterministic():
 
 @pytest.mark.parametrize("G, label", [
     (SymmetricGroup(6), "bsgs"),
-    (SL2Group(5), "orbit-stabilizer"),
+    (SL2Group(5), "trace-triple"),
     (Abelian2(5), "determinant"),
     (dihedral(5), "closure"),
 ])
