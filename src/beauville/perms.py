@@ -295,8 +295,38 @@ def _product_replacement(gens: list, rng: random.Random):
             yield acc
 
 
+def _imprimitive(gens: list) -> bool:
+    """Whether the transitive group <gens> has a block of imprimitivity
+    with more than one point and fewer than all.
+
+    For each x != 0 in turn, the least block holding 0 and x (Atkinson
+    1975; Holt, Eick and O'Brien, 4.1): union-find joins 0 and x, and
+    each join of two classes (u, v) joins the classes of g(u) and g(v)
+    for every generator g.  The classes of a transitive group have one
+    size, so that block is everything iff the joins number n - 1.
+    """
+    n = len(gens[0])
+    for x in range(1, n):
+        root = list(range(n))
+        root[x] = 0
+        joins = [(0, x)]
+        for y, z in joins:
+            for g in gens:
+                u, v = g[y], g[z]
+                while root[u] != u:
+                    root[u] = u = root[root[u]]
+                while root[v] != v:
+                    root[v] = v = root[root[v]]
+                if u != v:
+                    root[max(u, v)] = min(u, v)
+                    joins.append((u, v))
+        if len(joins) < n - 1:
+            return True
+    return False
+
+
 def generates_known_order(gens: list, order: int) -> bool:
-    """True iff |<gens>| = ``order``, where ``gens`` lie in a transitive
+    """True iff |<gens>| = ``order``, where ``gens`` lie in a primitive
     group of that order on their points (S_n and A_n).
 
     Each answer is exact:
@@ -306,9 +336,14 @@ def generates_known_order(gens: list, order: int) -> bool:
     * a ``_Chain`` into which ``gens`` and then product-replacement
       elements are inserted proves |<gens>| >= ``order`` as soon as the
       product of its orbit sizes reaches it (True);
-    * after ``_CERT_PATIENCE`` trivial sifts in a row, ``bsgs_order``
-      decides: a fresh chain of ``gens``, completed by deterministic
-      Schreier-Sims.
+    * after ``_CERT_PATIENCE`` trivial sifts in a row, a block system
+      (``_imprimitive``, Atkinson 1975) makes <gens> imprimitive,
+      hence a proper subgroup (False);
+    * otherwise ``bsgs_order`` decides: a fresh chain of ``gens``,
+      completed by deterministic Schreier-Sims.
+
+    The block test runs only once the chain stalls: on a primitive pair
+    it tries every x, a cost that a pair the chain proves does not pay.
     """
     gens = [tuple(g) for g in gens]
     n = len(gens[0])
@@ -321,6 +356,8 @@ def generates_known_order(gens: list, order: int) -> bool:
         idle = 0 if chain.insert(next(elements)) else idle + 1
     if chain.size >= order:
         return True
+    if _imprimitive(gens):
+        return False
     return bsgs_order(gens) == order
 
 

@@ -474,6 +474,10 @@ def reality_mixed(G: Group, u: MixedQuadruple) -> RealityVerdict:
     (s, s, 2) for one sign s.  The components must also agree on one
     outer label.  Over any other group only inner automorphisms are
     tried, and the verdict is never negative.
+
+    On H4(SL(2,p)) both a and c must have twist 2 (``_swap_case_table``
+    raises PreconditionError otherwise), although ``check_mixed`` also
+    passes pairs with a twist-0 generator.
     """
     if not isinstance(G, H4) or not isinstance(G.inner, SL2Group):
         table = lemma_case_table(G, (u.a, u.c))
@@ -494,6 +498,10 @@ def _swap_case_table(G, u: MixedQuadruple) -> CaseTable:
     element has the order of its signed target, and a case that none
     passes is impossible.  Cases 1, 2, 4 and 5 send a twist-2 element
     to the twist-0 element a*c, which no automorphism does.
+
+    Precondition: a and c both have twist 2; a pair with a twist-0
+    generator raises PreconditionError, even when it passes
+    ``check_mixed``.
     """
     H = G.inner
     p = H.p

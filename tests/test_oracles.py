@@ -6,7 +6,9 @@ The known-order stabilizer chain (S_n, A_n) and the trace-triple
 certificate (SL(2,p), PSL(2,p)) are checked against the deterministic
 chain ``bsgs_order`` and against closure, which know nothing of either,
 and the trace triple against the orbit-stabilizer walk on vectors that
-it replaced, with every branch of Dickson's list reached.  Class
+it replaced, with every branch of Dickson's list reached.  The block
+test that refutes imprimitive pairs is checked against Higman's
+criterion on orbital graphs.  Class
 labels, and the sigma test built on them, are checked against the
 conjugacy-class search.  The
 unmixed catalogue scan is checked against a brute force that uses
@@ -49,6 +51,7 @@ from beauville.constructions import (
 )
 from beauville.core import (
     CapacityExceeded,
+    PreconditionError,
     conjugacy_class,
     conjugate,
     generated_subgroup,
@@ -72,8 +75,11 @@ from beauville.perms import (
     AlternatingGroup,
     SymmetricGroup,
     bsgs_order,
+    cycle_to_perm,
+    generates_known_order,
     parity,
     parse_cycles,
+    pmul,
 )
 from beauville.reality import (
     StructureKeys,
@@ -122,18 +128,28 @@ def _by_closure(G, a, c):
     return len(generated_subgroup(G, [a, c])) == G.order
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Calls of the deterministic chain made while a test runs."""
+def _count_calls(monkeypatch, name):
     calls = []
-    real = perms.bsgs_order
+    real = getattr(perms, name)
 
     def counting(gens):
         calls.append(gens)
         return real(gens)
 
-    monkeypatch.setattr(perms, "bsgs_order", counting)
+    monkeypatch.setattr(perms, name, counting)
     return calls
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Calls of the deterministic chain made while a test runs."""
+    return _count_calls(monkeypatch, "bsgs_order")
+
+
+@pytest.fixture
+def block_tests(monkeypatch):
+    """Calls of the block test made while a test runs."""
+    return _count_calls(monkeypatch, "_imprimitive")
 
 
 @pytest.fixture
@@ -188,6 +204,97 @@ def test_even_pairs_refuted_without_chain(fallbacks):
     # A_7's own generators reach all of A_7, still a proper subgroup.
     A7 = AlternatingGroup(7)
     assert not S7.generates_pair(*A7.generators)
+    assert fallbacks == []
+
+
+def _transitive(gens):
+    n = len(gens[0])
+    return len(orbit([0], lambda x: [g[x] for g in gens], n, "point orbit")) == n
+
+
+def _primitive_by_orbitals(H, n):
+    """Whether the transitive group H, given by all its elements, is
+    primitive on its n points, by Higman's criterion: iff for every
+    x != 0 the orbital graph with edges {h(0), h(x)}, h in H, is
+    connected."""
+    for x in range(1, n):
+        neighbours = [set() for _ in range(n)]
+        for h in H:
+            neighbours[h[0]].add(h[x])
+            neighbours[h[x]].add(h[0])
+        reached, stack = {0}, [0]
+        while stack:
+            for y in neighbours[stack.pop()] - reached:
+                reached.add(y)
+                stack.append(y)
+        if len(reached) < n:
+            return False
+    return True
+
+
+def test_block_test_against_orbital_graphs_s6(fallbacks):
+    """Every transitive pair (class representative of S_6) x (element of
+    S_6): the block test finds a block exactly when Higman's criterion
+    finds <a, c> imprimitive, an imprimitive pair never reaches
+    ``bsgs_order`` and a primitive proper one reaches it once.  Closures
+    are kept per a and least a^i c a^j, since <a, c> = <a, a^i c a^j>."""
+    G = SymmetricGroup(6)
+    elements = sorted(G.elements())
+    outcomes, closures, primitive = Counter(), {}, {}
+    for a in _class_reps(G, elements):
+        powers = sorted(generated_subgroup(G, [a]))
+        for c in elements:
+            if not _transitive([a, c]):
+                continue
+            key = (a, min(pmul(pmul(u, c), v) for u in powers for v in powers))
+            if key not in closures:
+                closures[key] = frozenset(generated_subgroup(G, [a, c]))
+            H = closures[key]
+            if H not in primitive:
+                primitive[H] = _primitive_by_orbitals(H, 6)
+            assert perms._imprimitive([a, c]) != primitive[H], (a, c)
+            before = len(fallbacks)
+            want = len(H) == G.order
+            assert generates_known_order([a, c], G.order) == want == (bsgs_order([a, c]) == G.order)
+            if not primitive[H]:
+                outcomes["imprimitive"] += 1
+                assert len(fallbacks) == before, (a, c)
+            elif not want:
+                outcomes["primitive-proper"] += 1
+                assert len(fallbacks) == before + 1, (a, c)
+            else:
+                outcomes["generating"] += 1
+    assert outcomes == {"imprimitive": 1196, "primitive-proper": 1766, "generating": 2446}
+
+
+def _wreath(m, k):
+    """Generators of S_m wr S_k on k blocks of m consecutive points."""
+    n = m * k
+    swap = list(range(n))
+    for r in range(m):
+        swap[r], swap[m + r] = m + r, r
+    return [cycle_to_perm([0, 1], n), cycle_to_perm(list(range(m)), n), tuple(swap),
+            tuple((x + m) % n for x in range(n))]
+
+
+@pytest.mark.parametrize("m, k", [(2, 4), (4, 2), (3, 3)])
+def test_block_test_against_orbital_graphs_wreath(m, k, fallbacks):
+    # Seeded generating pairs of S_m wr S_k, imprimitive in S_mk.
+    n = m * k
+    G = SymmetricGroup(n)
+    W = sorted(generated_subgroup(G, _wreath(m, k)))
+    rng = random.Random(23)
+    found = 0
+    while found < 20:
+        a, c = rng.choice(W), rng.choice(W)
+        H = generated_subgroup(G, [a, c])
+        if len(H) < len(W):
+            continue
+        found += 1
+        assert not _primitive_by_orbitals(H, n)
+        assert perms._imprimitive([a, c])
+        assert not generates_known_order([a, c], G.order)
+        assert bsgs_order([a, c]) == len(W)
     assert fallbacks == []
 
 
@@ -319,12 +426,13 @@ def test_negative_kinds(fallbacks, no_closure):
     assert not generates(S7, parse_cycles("(1,2)", 7), parse_cycles("(3,4,5,6,7)", 7))
     assert fallbacks == []
     # Imprimitive: blocks {1,2},{3,4},{5,6},{7,8}; the chain can never reach
-    # |A8|, so the deterministic chain decides.
+    # |A8|, and the block test refutes it before the deterministic chain.
     A8 = AlternatingGroup(8)
     assert not generates(A8, parse_cycles("(1,3,5,7)(2,4,6,8)", 8),
                          parse_cycles("(1,2)(3,4)", 8))
-    assert len(fallbacks) == 1
-    # Primitive proper subgroup AGL(1,7) = <x+1, 3x> of S7 (order 42).
+    assert fallbacks == []
+    # Primitive proper subgroup AGL(1,7) = <x+1, 3x> of S7 (order 42): no
+    # block, so the deterministic chain decides.
     shift = tuple((x + 1) % 7 for x in range(7))
     scale = tuple((3 * x) % 7 for x in range(7))
     assert bsgs_order([shift, scale]) == 42
@@ -340,11 +448,32 @@ def test_negative_kinds(fallbacks, no_closure):
         assert generates(G, G.project(k["B"]), G.project(k["S"]))
 
 
-def test_large_positives_without_closure_or_fallback(fallbacks, no_closure):
+def test_large_positives_without_closure_or_fallback(fallbacks, block_tests, no_closure):
     pw = gallery.alt_pair_2_3_84(16)
     assert generates(pw.group, pw.a, pw.c)
+    # The chain proves it: the block test, which tries every x on a
+    # primitive pair, runs only after the chain gives up.
+    assert block_tests == []
     k = sl2_constants(71)
     assert generates(SL2Group(71), k["B"], k["S"])
+    assert fallbacks == []
+
+
+@pytest.mark.parametrize("n, a, c", [
+    (16, "(1,2)(9,10)", "(1,10,3,12,5,14,7,16)(2,11,4,13,6,15,8,9)"),
+    (20, "(1,2)(11,12)", "(1,12,3,14,5,16,7,18,9,20)(2,13,4,15,6,17,8,19,10,11)"),
+    (24, "(1,2)(13,14)",
+     "(1,14,3,16,5,18,7,20,9,22,11,24)(2,15,4,17,6,19,8,21,10,23,12,13)"),
+    (28, "(1,2)(15,16)",
+     "(1,16,3,18,5,20,7,22,9,24,11,26,13,28)(2,17,4,19,6,21,8,23,10,25,12,27,14,15)"),
+])
+def test_benchmark_scale_imprimitive_pairs_without_fallback(n, a, c, fallbacks, block_tests,
+                                                           no_closure):
+    # The shapes of the benchmark's imprimitive A_n requests, n = 2k: a
+    # transposition on each half {1..k}, {k+1..2k} and a k-cycle on each
+    # half followed by the swap of the halves.  The block test refutes them.
+    assert generates(AlternatingGroup(n), parse_cycles(a, n), parse_cycles(c, n)) is False
+    assert len(block_tests) == 1
     assert fallbacks == []
 
 
@@ -1359,3 +1488,15 @@ def test_check_mixed_labels_against_closure_sl2_7_passes():
     for k in (0, 38):
         a1, a2, c1, c2 = quadruples[k]
         assert _check_mixed_both_ways(G, ids, (a1, a2, 2), (c1, c2, 2)).passed, k
+
+
+def test_reality_mixed_needs_twist_2_pairs():
+    """A pair with a twist-0 generator can pass check_mixed, but the
+    mixed case table covers only twist-2 pairs, so reality_mixed refuses
+    it instead of giving a verdict."""
+    G = H4(SL2Group(7))
+    a1, a2, c1, c2 = _twist2_quadruples(7, 2009, 1)[0]
+    u = MixedQuadruple(G, (a1, a2, 0), (c1, c2, 2), G.coset_rep)
+    assert check_mixed(G, u).passed
+    with pytest.raises(PreconditionError, match="twist-2"):
+        reality_mixed(G, u)
