@@ -22,6 +22,7 @@ from .literals import (
     structure_from_json,
     structure_to_json,
 )
+from .perms import PermGroup, format_cycles
 from .reality import reality_mixed, reality_unmixed
 from .search import (
     SearchConstraints,
@@ -145,9 +146,7 @@ def cmd_gallery(args) -> int:
     def fmt(G, x):
         if x is None:
             return None
-        if args.zero_based and G.kind in ("sym", "alt"):
-            from .perms import format_cycles
-
+        if args.zero_based and isinstance(G, PermGroup):
             return format_cycles(x, zero_based=True)
         return element_to_json(G, x)
 
@@ -162,7 +161,7 @@ def cmd_gallery(args) -> int:
         }
     else:
         data = structure_to_json(obj)
-        if args.zero_based and obj.group.kind in ("sym", "alt"):
+        if args.zero_based and isinstance(obj.group, PermGroup):
             for key in ("a1", "c1", "a2", "c2", "a", "c", "g"):
                 if key in data:
                     data[key] = fmt(obj.group, getattr(obj, key))

@@ -148,11 +148,12 @@ class Metacyclic(Group):
 
     Elements are (j, e) meaning a^j x^e.  Dihedral groups use (r, s) =
     (-1, 0); dicyclic groups of order 4n use m = 2n, (r, s) = (-1, n).
+    ``name`` is the (kind, n) of the descriptor, ("dih", n) or ("dic", n).
     """
 
     kind = "metacyclic"
 
-    def __init__(self, m: int, r: int, s: int, name: str | None = None):
+    def __init__(self, m: int, r: int, s: int, name: tuple):
         if m < 1:
             raise PreconditionError("m must be >= 1")
         r %= m
@@ -200,9 +201,7 @@ class Metacyclic(Group):
         )
 
     def descriptor(self) -> dict:
-        if self.name:
-            return {"kind": self.name[0], "n": self.name[1]}
-        return {"kind": "metacyclic", "m": self.m, "r": self.r, "s": self.s}
+        return {"kind": self.name[0], "n": self.name[1]}
 
 
 def dihedral(n: int) -> Metacyclic:
@@ -388,73 +387,72 @@ def json_field(data, name: str, what: str):
     return data[name]
 
 
-def group_from_descriptor(desc: dict) -> Group:
-    def num(name):
-        value = json_field(desc, name, "group descriptor")
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            raise PreconditionError(
-                f"group descriptor field {name!r} is not an integer: {value!r}") from None
+# kind -> (constructor, its integer fields in order).  "h4" and "prod"
+# nest descriptors and are read apart.
+_KINDS = {
+    "sym": (SymmetricGroup, ("n",)),
+    "alt": (AlternatingGroup, ("n",)),
+    "sl2": (SL2Group, ("p",)),
+    "psl2": (PSL2Group, ("p",)),
+    "ab2": (Abelian2, ("n",)),
+    "cyc": (Cyclic, ("n",)),
+    "dih": (dihedral, ("n",)),
+    "dic": (dicyclic, ("n",)),
+    "wallpaper": (Wallpaper, ("d", "m")),
+}
 
+
+def _integer(name: str, value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise PreconditionError(
+            f"group descriptor field {name!r} is not an integer: {value!r}") from None
+
+
+def group_from_descriptor(desc: dict) -> Group:
     kind = json_field(desc, "kind", "group descriptor")
-    if kind == "sym":
-        return SymmetricGroup(num("n"))
-    if kind == "alt":
-        return AlternatingGroup(num("n"))
-    if kind == "sl2":
-        return SL2Group(num("p"))
-    if kind == "psl2":
-        return PSL2Group(num("p"))
-    if kind == "ab2":
-        return Abelian2(num("n"))
-    if kind == "cyc":
-        return Cyclic(num("n"))
     if kind == "h4":
         return H4(group_from_descriptor(json_field(desc, "inner", "group descriptor")))
-    if kind == "wallpaper":
-        return Wallpaper(num("d"), num("m"))
-    if kind == "dih":
-        return dihedral(num("n"))
-    if kind == "dic":
-        return dicyclic(num("n"))
     if kind == "prod":
         factors = json_field(desc, "factors", "group descriptor")
         if not isinstance(factors, list):
             raise PreconditionError(f"group descriptor field 'factors' is not a list: {factors!r}")
         return DirectProduct([group_from_descriptor(f) for f in factors])
-    raise PreconditionError(f"unknown group descriptor kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise PreconditionError(f"unknown group descriptor kind {kind!r}")
+    make, fields = _KINDS[kind]
+    return make(*(_integer(name, json_field(desc, name, "group descriptor")) for name in fields))
 
 
 def parse_descriptor(text: str) -> dict:
-    """Shorthand "kind:params" forms, e.g. "ab2:5", "sl2:7", "wallpaper:3:4"."""
-    parts = text.strip().split(":")
-    kind = parts[0]
-    args = parts[1:]
-    simple = {"sym": "n", "alt": "n", "ab2": "n", "cyc": "n", "dih": "n", "dic": "n",
-              "sl2": "p", "psl2": "p"}
-    if kind in simple and len(args) == 1:
-        return {"kind": kind, simple[kind]: int(args[0])}
-    if kind == "wallpaper" and len(args) == 2:
-        return {"kind": "wallpaper", "d": int(args[0]), "m": int(args[1])}
-    if kind == "h4" and len(args) >= 1:
+    """The descriptor that ``format_descriptor`` writes as ``text``, e.g.
+    "ab2:5", "wallpaper:3:4", "h4:sl2:7" or "prod(dih:3,cyc:2)"."""
+    stripped = text.strip()
+    if stripped.startswith("prod(") and stripped.endswith(")"):
+        factors, depth, start = [], 0, 5
+        for i, ch in enumerate(stripped[5:-1], 5):
+            depth += (ch == "(") - (ch == ")")
+            if ch == "," and depth == 0:
+                factors.append(stripped[start:i])
+                start = i + 1
+        factors.append(stripped[start:-1])
+        return {"kind": "prod", "factors": [parse_descriptor(f) for f in factors]}
+    kind, *args = stripped.split(":")
+    if kind == "h4" and args:
         return {"kind": "h4", "inner": parse_descriptor(":".join(args))}
+    if kind in _KINDS and len(args) == len(fields := _KINDS[kind][1]):
+        return {"kind": kind} | {name: _integer(name, arg) for name, arg in zip(fields, args)}
     raise PreconditionError(f"cannot parse group descriptor {text!r}")
 
 
 def format_descriptor(desc: dict) -> str:
     kind = desc["kind"]
-    if kind in ("sym", "alt", "ab2", "cyc", "dih", "dic"):
-        return f"{kind}:{desc['n']}"
-    if kind in ("sl2", "psl2"):
-        return f"{kind}:{desc['p']}"
-    if kind == "wallpaper":
-        return f"wallpaper:{desc['d']}:{desc['m']}"
     if kind == "h4":
         return f"h4:{format_descriptor(desc['inner'])}"
     if kind == "prod":
         return "prod(" + ",".join(format_descriptor(f) for f in desc["factors"]) + ")"
-    return str(desc)
+    return ":".join([kind] + [str(desc[name]) for name in _KINDS[kind][1]])
 
 
 # -- fixed catalogue --------------------------------------------------------

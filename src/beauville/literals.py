@@ -11,15 +11,15 @@ import json
 
 from .core import Group, PreconditionError
 from .constructions import H4, group_from_descriptor, json_field, parse_descriptor
-from .matgroups import PSL2Group, SL2Group, psl_canon
-from .perms import AlternatingGroup, SymmetricGroup, format_cycles, parse_cycles
+from .matgroups import Mat2Group
+from .perms import PermGroup, format_cycles, parse_cycles
 from .structures import MixedQuadruple, UnmixedStructure
 
 
 def element_to_json(G: Group, x):
-    if isinstance(G, (SymmetricGroup, AlternatingGroup)):
+    if isinstance(G, PermGroup):
         return format_cycles(x)
-    if isinstance(G, (SL2Group, PSL2Group)):
+    if isinstance(G, Mat2Group):
         return [[x[0], x[1]], [x[2], x[3]]]
     if isinstance(G, H4):
         return [element_to_json(G.inner, x[0]), element_to_json(G.inner, x[1]), x[2]]
@@ -40,16 +40,12 @@ def element_from_json(G: Group, data):
 
 
 def _element_from_json(G: Group, data):
-    if isinstance(G, (SymmetricGroup, AlternatingGroup)):
+    if isinstance(G, PermGroup):
         if not isinstance(data, str):
             raise PreconditionError("permutation literals are cycle strings")
         return parse_cycles(data, G.n)
-    if isinstance(G, (SL2Group, PSL2Group)):
-        rows = data
-        x = (int(rows[0][0]) % G.p, int(rows[0][1]) % G.p,
-             int(rows[1][0]) % G.p, int(rows[1][1]) % G.p)
-        if isinstance(G, PSL2Group):
-            x = psl_canon(x, G.p)
+    if isinstance(G, Mat2Group):
+        x = G.project(tuple(int(data[i][j]) % G.p for i in (0, 1) for j in (0, 1)))
         G.check_element(x)
         return x
     if isinstance(G, H4):
@@ -78,9 +74,9 @@ def _element_from_json(G: Group, data):
 def parse_element(G: Group, text: str):
     """CLI literal: cycle string, matrix rows, or a coordinate tuple."""
     text = text.strip()
-    if isinstance(G, (SymmetricGroup, AlternatingGroup)):
+    if isinstance(G, PermGroup):
         return parse_cycles(text, G.n)
-    if text.startswith("[") or isinstance(G, (SL2Group, PSL2Group, H4)):
+    if text.startswith("[") or isinstance(G, (Mat2Group, H4)):
         return element_from_json(G, json.loads(text))
     if text.startswith("("):
         body = text.strip("() \t")

@@ -379,19 +379,48 @@ def sl2_class_label(p: int, x: Mat2):
 # -- group contexts --------------------------------------------------------
 
 
-class SL2Group(Group):
-    kind = "sl2"
+class Mat2Group(Group):
+    """Determinant-1 matrices over F_p, or their images under ``project``:
+    what SL(2,p) and PSL(2,p) share."""
+
     generation_certificate = "trace-triple"
 
     def __init__(self, p: int):
         _check_odd_prime(p)
         self.p = p
         consts = sl2_constants(p)
-        self._gens = [consts["B"], consts["S"]]
+        self._gens = [self.project(consts["B"]), self.project(consts["S"])]
+
+    def project(self, x: Mat2) -> Mat2:
+        """Image of a determinant-1 matrix in the group."""
+        return x
 
     @property
     def identity(self):
         return mat_id(self.p)
+
+    @property
+    def generators(self):
+        return list(self._gens)
+
+    def contains(self, x) -> bool:
+        return (
+            isinstance(x, tuple)
+            and len(x) == 4
+            and all(isinstance(e, int) and 0 <= e < self.p for e in x)
+            and mdet(x, self.p) == 1
+            and self.project(x) == x
+        )
+
+    def generates_pair(self, a, c) -> bool:
+        return generates_sl2(self.p, a, c)
+
+    def descriptor(self) -> dict:
+        return {"kind": self.kind, "p": self.p}
+
+
+class SL2Group(Mat2Group):
+    kind = "sl2"
 
     def mul(self, x, y):
         return mmul(x, y, self.p)
@@ -403,44 +432,18 @@ class SL2Group(Group):
     def order(self) -> int:
         return self.p * (self.p * self.p - 1)
 
-    @property
-    def generators(self):
-        return list(self._gens)
-
-    def contains(self, x) -> bool:
-        return (
-            isinstance(x, tuple)
-            and len(x) == 4
-            and all(isinstance(e, int) and 0 <= e < self.p for e in x)
-            and mdet(x, self.p) == 1
-        )
-
     def element_order(self, g) -> int:
         return mat_order(g, self.p)
-
-    def generates_pair(self, a, c) -> bool:
-        return generates_sl2(self.p, a, c)
 
     def class_label(self, x):
         return sl2_class_label(self.p, x)
 
-    def descriptor(self) -> dict:
-        return {"kind": "sl2", "p": self.p}
 
-
-class PSL2Group(Group):
+class PSL2Group(Mat2Group):
     kind = "psl2"
-    generation_certificate = "trace-triple"
 
-    def __init__(self, p: int):
-        _check_odd_prime(p)
-        self.p = p
-        consts = sl2_constants(p)
-        self._gens = [psl_canon(consts["B"], p), psl_canon(consts["S"], p)]
-
-    @property
-    def identity(self):
-        return mat_id(self.p)
+    def project(self, x: Mat2) -> Mat2:
+        return psl_canon(x, self.p)
 
     def mul(self, x, y):
         return psl_canon(mmul(x, y, self.p), self.p)
@@ -452,29 +455,6 @@ class PSL2Group(Group):
     def order(self) -> int:
         return self.p * (self.p * self.p - 1) // 2
 
-    @property
-    def generators(self):
-        return list(self._gens)
-
-    def contains(self, x) -> bool:
-        return (
-            isinstance(x, tuple)
-            and len(x) == 4
-            and all(isinstance(e, int) and 0 <= e < self.p for e in x)
-            and mdet(x, self.p) == 1
-            and psl_canon(x, self.p) == x
-        )
-
-    def project(self, x: Mat2) -> Mat2:
-        """Image of a determinant-1 matrix in the projective group."""
-        return psl_canon(x, self.p)
-
-    def generates_pair(self, a, c) -> bool:
-        return generates_sl2(self.p, a, c)
-
     def class_label(self, x) -> frozenset:
         # x and -x are one element here: conjugate iff x ~ +-y in SL(2,p).
         return frozenset((sl2_class_label(self.p, x), sl2_class_label(self.p, mneg(x, self.p))))
-
-    def descriptor(self) -> dict:
-        return {"kind": "psl2", "p": self.p}

@@ -434,17 +434,11 @@ def conjugator_search(a: tuple, a_target: tuple, c: tuple, c_target: tuple) -> l
 # -- group contexts -------------------------------------------------------
 
 
-class SymmetricGroup(Group):
-    kind = "sym"
-    generation_certificate = "bsgs"
+class PermGroup(Group):
+    """A group of permutations of n points, given by its generators
+    ``self._gens``: what S_n and A_n share."""
 
-    def __init__(self, n: int):
-        if n < 1:
-            raise PreconditionError("degree must be >= 1")
-        self.n = n
-        self._gens = [cycle_to_perm([0, 1], n)] if n >= 2 else []
-        if n >= 2:
-            self._gens.append(cycle_to_perm(list(range(n)), n))
+    generation_certificate = "bsgs"
 
     @property
     def identity(self):
@@ -457,18 +451,33 @@ class SymmetricGroup(Group):
         return pinv(x)
 
     @property
-    def order(self) -> int:
-        return math.factorial(self.n)
-
-    @property
     def generators(self):
         return list(self._gens)
 
-    def contains(self, x) -> bool:
-        return isinstance(x, tuple) and is_perm(x, self.n)
-
     def element_order(self, g) -> int:
         return perm_order(g)
+
+    def descriptor(self) -> dict:
+        return {"kind": self.kind, "n": self.n}
+
+
+class SymmetricGroup(PermGroup):
+    kind = "sym"
+
+    def __init__(self, n: int):
+        if n < 1:
+            raise PreconditionError("degree must be >= 1")
+        self.n = n
+        self._gens = [cycle_to_perm([0, 1], n)] if n >= 2 else []
+        if n >= 2:
+            self._gens.append(cycle_to_perm(list(range(n)), n))
+
+    @property
+    def order(self) -> int:
+        return math.factorial(self.n)
+
+    def contains(self, x) -> bool:
+        return isinstance(x, tuple) and is_perm(x, self.n)
 
     def generates_pair(self, a, c) -> bool:
         # Two even permutations lie in A_n, a proper subgroup for n >= 2.
@@ -480,13 +489,9 @@ class SymmetricGroup(Group):
         """Conjugate in S_n iff of equal cycle type."""
         return cycle_type(x)
 
-    def descriptor(self) -> dict:
-        return {"kind": "sym", "n": self.n}
 
-
-class AlternatingGroup(Group):
+class AlternatingGroup(PermGroup):
     kind = "alt"
-    generation_certificate = "bsgs"
 
     def __init__(self, n: int):
         if n < 3:
@@ -496,28 +501,11 @@ class AlternatingGroup(Group):
         self._gens = [cycle_to_perm([0, 1, 2], n), cycle_to_perm(long_cycle, n)]
 
     @property
-    def identity(self):
-        return identity_perm(self.n)
-
-    def mul(self, x, y):
-        return pmul(x, y)
-
-    def inv(self, x):
-        return pinv(x)
-
-    @property
     def order(self) -> int:
         return math.factorial(self.n) // 2
 
-    @property
-    def generators(self):
-        return list(self._gens)
-
     def contains(self, x) -> bool:
         return isinstance(x, tuple) and is_perm(x, self.n) and parity(x) == 0
-
-    def element_order(self, g) -> int:
-        return perm_order(g)
 
     def generates_pair(self, a, c) -> bool:
         return generates_known_order([a, c], self.order)
@@ -536,6 +524,3 @@ class AlternatingGroup(Group):
         if len(set(parts)) < len(parts) or not all(k % 2 for k in parts):
             return parts
         return parts, parity(tuple(point for c in cycles for point in c))
-
-    def descriptor(self) -> dict:
-        return {"kind": "alt", "n": self.n}

@@ -33,7 +33,7 @@ from .core import (
     orbit,
 )
 from .matgroups import (
-    PSL2Group,
+    Mat2Group,
     SL2Group,
     _prime_factors,
     inv_mod,
@@ -46,6 +46,7 @@ from .matgroups import (
 from .perms import (
     AlternatingGroup,
     DegeneratePair,
+    PermGroup,
     SymmetricGroup,
     conjugator_search,
     parity,
@@ -233,14 +234,14 @@ def backend_for(G: Group) -> AutBackend:
     - (Z/n)^2: Aut = GL(2,n); generators are known for prime n only.
     - Anything else: inner automorphisms only, every case undecided.
     """
-    if isinstance(G, (SymmetricGroup, AlternatingGroup)) and G.n == 6:
+    if isinstance(G, PermGroup) and G.n == 6:
         raise PreconditionError("S_6 and A_6 have an exceptional outer automorphism")
     if isinstance(G, SymmetricGroup):
         return AutBackend(_sym_solver, [])
     if isinstance(G, AlternatingGroup):
         s = tuple([1, 0] + list(range(2, G.n)))
         return AutBackend(_alt_solver, [lambda x: pmul(s, pmul(x, s))])
-    if isinstance(G, (SL2Group, PSL2Group)):
+    if isinstance(G, Mat2Group):
         p = G.p
         nu = next(x for x in range(2, p) if not is_square(p, x))
         d, di = (nu, 0, 0, 1), (inv_mod(nu, p), 0, 0, 1)

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -150,6 +151,37 @@ def test_cli_search_json():
     from beauville.structures import check_unmixed
 
     assert check_unmixed(w.group, w).passed
+
+
+def test_cli_product_shorthand_matches_json_descriptor():
+    factors = [{"kind": "dih", "n": 3}, {"kind": "cyc", "n": 2}]
+    reports = []
+    for group in ("prod(dih:3,cyc:2)", json.dumps({"kind": "prod", "factors": factors})):
+        proc = run_bv("search", "--group", group, "--limit", "1", "--json")
+        assert proc.returncode == 0, proc.stderr
+        reports.append(dict(json.loads(proc.stdout), elapsed_ms=None))
+    assert reports[0] == reports[1]
+    assert reports[0]["group"] == {"kind": "prod", "factors": factors}
+
+
+def _gallery_json(*args):
+    proc = run_bv("gallery", *args, "--json")
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_gallery_zero_based():
+    def shift(literal):
+        return re.sub(r"\d+", lambda m: str(int(m.group()) + 1), literal)
+
+    args = ("alt-type-2-3-84", "--n", "16")
+    zero, one = _gallery_json(*args, "--zero-based"), _gallery_json(*args)
+    assert zero["c"] == "(1,2,3)(4,5,6)(7,8,9)(10,11,12)(13,14,15)"
+    assert {key: shift(zero[key]) for key in ("a", "c", "witness")} == {
+        key: one[key] for key in ("a", "c", "witness")}
+    assert _gallery_json("sym-thm", "--n", "8", "--zero-based")["a1"] == "(0,4,3)(1,5)"
+    args = ("h4-mixed", "--p", "11")
+    assert _gallery_json(*args, "--zero-based") == _gallery_json(*args)
 
 
 def test_cli_reports_carry_no_seed():

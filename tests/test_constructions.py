@@ -131,10 +131,14 @@ def test_descriptor_roundtrip():
         {"kind": "h4", "inner": {"kind": "sl2", "p": 11}},
         {"kind": "dih", "n": 6},
     ]
-    for desc in descs:
+    # The shorthand parses back every descriptor it prints, products too.
+    texts = ["h4:sl2:7", "wallpaper:3:4", "h4:prod(dih:3,cyc:2)", "prod(dih:3,prod(cyc:2,cyc:3))"]
+    for text in texts:
+        assert format_descriptor(parse_descriptor(text)) == text
+    for desc in descs + catalogue(512) + [parse_descriptor(text) for text in texts]:
         G = group_from_descriptor(desc)
         assert G.descriptor() == desc
-        assert group_from_descriptor(parse_descriptor(format_descriptor(desc))).descriptor() == desc
+        assert parse_descriptor(format_descriptor(desc)) == desc
 
 
 def test_product_group():
@@ -150,3 +154,8 @@ def test_unknown_descriptor_rejected():
         group_from_descriptor({"kind": "nope"})
     with pytest.raises(PreconditionError):
         parse_descriptor("nope:3")
+    with pytest.raises(PreconditionError, match="'n' is not an integer: 'x'"):
+        parse_descriptor("sym:x")
+    for text in ("sym", "sym:3:4", "wallpaper:3", "h4", "prod(dih:3", "prod()", "prod(dih:3,)"):
+        with pytest.raises(PreconditionError, match="cannot parse group descriptor"):
+            parse_descriptor(text)

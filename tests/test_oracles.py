@@ -791,19 +791,10 @@ def test_mixed_scan_sigma_step_against_naive(monkeypatch):
             ("coset-squares", True), ("conjugate-sigma-intersection", False)], (a, c)
 
 
-def _named_group(name):
-    """The group of a formatted descriptor; products, which
-    ``parse_descriptor`` cannot read, come from the catalogue."""
-    if name.startswith("prod("):
-        return group_from_descriptor(next(d for d in catalogue(72)
-                                          if format_descriptor(d) == name))
-    return group_from_descriptor(parse_descriptor(name))
-
-
 @pytest.mark.parametrize("desc", ["sym:5", "sl2:5", "psl2:7", "ab2:5", "psl2:11", "dih:12",
                                   "prod(dic:3,cyc:5)"])
 def test_class_keyed_fingerprints_against_pairs(desc):
-    idx = IndexedGroup(_named_group(desc))
+    idx = IndexedGroup(group_from_descriptor(parse_descriptor(desc)))
     got = _fingerprint_buckets(idx)
     want = _fingerprint_buckets_by_pairs(idx)
     # Key order and pair order; sizes come before any fill.
@@ -816,7 +807,7 @@ def test_class_keyed_fingerprints_against_pairs(desc):
 def test_hunt_cut_against_pairs(desc, monkeypatch):
     # The hunt keeps the first 16 pairs of each bucket, and is complete
     # exactly when no bucket lost a pair and the cut stream fit the budget.
-    G = _named_group(desc)
+    G = group_from_descriptor(parse_descriptor(desc))
     seen = []
 
     def recording(idx):
@@ -849,7 +840,8 @@ def _stream_against_eager(G, constraints, limit):
     ("psl2:7", 200, ((7, 7, 7), (4, 4, 3)), 200)])
 def test_lazy_stream_against_eager_buckets(desc, limit, types, count):
     constraints = SearchConstraints() if types is None else SearchConstraints(*types)
-    assert len(_stream_against_eager(_named_group(desc), constraints, limit)) == count
+    G = group_from_descriptor(parse_descriptor(desc))
+    assert len(_stream_against_eager(G, constraints, limit)) == count
 
 
 def test_first_structure_against_eager_buckets_on_catalogue():
