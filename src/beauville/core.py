@@ -177,8 +177,9 @@ def generates(G: Group, a, c, cap: int = DEFAULT_CLOSURE_CAP) -> bool:
     """True iff <a, c> = G.
 
     A backend's ``generates_pair`` decides exactly, named by its
-    ``generation_certificate``: a known-order stabilizer chain for S_n
-    and A_n (``perms.generates_known_order``), Dickson's subgroup list
+    ``generation_certificate``: a Jordan element (a power that is a
+    prime cycle) and Jordan's theorem for S_n and A_n
+    (``perms.generates_known_order``), Dickson's subgroup list
     read off the trace triple for SL(2,p) and PSL(2,p), a determinant
     for (Z/n)^2.  The other backends compare a closure against the known
     order; only they use ``cap``, and past it an UndecidedError is raised

@@ -65,6 +65,9 @@ def _element_from_json(G: Group, data):
         x = tuple(v % G.n for v in x)
     elif G.kind == "wallpaper":
         x = (x[0] % G.m, x[1] % G.m, x[2] % G.d)
+    elif G.kind == "metacyclic":
+        # e stays as given: x^2 = a^s, not the identity, in dicyclic groups.
+        x = (x[0] % G.m, x[1])
     elif G.kind == "cyc":
         x = x % G.n
     G.check_element(x)

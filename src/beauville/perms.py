@@ -261,18 +261,20 @@ def bsgs_order(gens: list) -> int:
     return chain.size
 
 
-# -- known-order generation certificate ------------------------------------
+# -- known-order generation certificate: Jordan's theorem -----------------
 
 # Product replacement starts from a fixed seed, so one input always takes
-# one path.  The seed only decides how soon a True is proved: no answer
-# rests on it.
+# one path.  The seed only decides how soon a Jordan element is found: no
+# answer rests on it.
 _CERT_SEED = 2004
 _CERT_SLOTS = 10
 _CERT_BURN_IN = 40
-# Trivial sifts in a row before the deterministic chain decides.  A sift
-# of a uniform element of G is trivial with probability |chain| / |G|,
-# which is at most 1/2 while the certificate is incomplete.
-_CERT_PATIENCE = 12
+# Elements of the walk (the pair, then the stream) searched for a Jordan
+# element before the block test, and in all.  An imprimitive group has
+# none, so the first limit bounds what such a pair pays before it is
+# refuted.
+_JORDAN_BEFORE_BLOCKS = 20
+_JORDAN_WALK = 200
 
 
 def _product_replacement(gens: list, rng: random.Random):
@@ -295,6 +297,19 @@ def _product_replacement(gens: list, rng: random.Random):
             yield acc
 
 
+def _jordan_element(x: tuple, least: int) -> bool:
+    """Whether x has a cycle of prime length p, least <= p <= n - 3, that
+    is the only cycle of x whose length p divides.
+
+    The power of x by the lcm of its other cycle lengths is then a
+    p-cycle.  For p > n/2 no second cycle can have a length p divides.
+    """
+    lengths = cycle_type(x)
+    return any(least <= p <= len(x) - 3 and all(p % d for d in range(2, math.isqrt(p) + 1))
+               and sum(k % p == 0 for k in lengths) == 1
+               for p in set(lengths))
+
+
 def _imprimitive(gens: list) -> bool:
     """Whether the transitive group <gens> has a block of imprimitivity
     with more than one point and fewer than all.
@@ -303,7 +318,9 @@ def _imprimitive(gens: list) -> bool:
     1975; Holt, Eick and O'Brien, 4.1): union-find joins 0 and x, and
     each join of two classes (u, v) joins the classes of g(u) and g(v)
     for every generator g.  The classes of a transitive group have one
-    size, so that block is everything iff the joins number n - 1.
+    size, so that block is everything iff the joins number n - 1.  A
+    primitive answer tries every x; ``generates_known_order`` asks only
+    after the first ``_JORDAN_BEFORE_BLOCKS`` elements of its walk.
     """
     n = len(gens[0])
     for x in range(1, n):
@@ -329,35 +346,39 @@ def generates_known_order(gens: list, order: int) -> bool:
     """True iff |<gens>| = ``order``, where ``gens`` lie in a primitive
     group of that order on their points (S_n and A_n).
 
-    Each answer is exact:
+    Each answer is exact.  A primitive group that holds a cycle of prime
+    length p <= n - 3 contains A_n (Jordan 1873; Wielandt, Finite
+    Permutation Groups, Thm 13.9), and a transitive group that holds one
+    with p > n/2 is primitive.  <gens> is then A_n or S_n, as some
+    generator is odd or none is, and is compared with ``order``.  In turn:
 
     * a point outside the orbit of 0 makes <gens> intransitive, hence a
       proper subgroup (False);
-    * a ``_Chain`` into which ``gens`` and then product-replacement
-      elements are inserted proves |<gens>| >= ``order`` as soon as the
-      product of its orbit sizes reaches it (True);
-    * after ``_CERT_PATIENCE`` trivial sifts in a row, a block system
-      (``_imprimitive``, Atkinson 1975) makes <gens> imprimitive,
-      hence a proper subgroup (False);
-    * otherwise ``bsgs_order`` decides: a fresh chain of ``gens``,
+    * an element among the first ``_JORDAN_BEFORE_BLOCKS`` of the walk
+      (``gens``, then the seeded product-replacement stream) with a power
+      that is a p-cycle, n/2 < p <= n - 3, decides by Jordan's theorem;
+    * a block system (``_imprimitive``, Atkinson 1975) makes <gens>
+      imprimitive, hence a proper subgroup (False);
+    * the walk, continued to ``_JORDAN_WALK`` elements, decides by Jordan's
+      theorem on an element with a power that is a p-cycle, p <= n - 3:
+      <gens> is now primitive, and p = 2, 3 cover degrees 5 to 7;
+    * otherwise ``bsgs_order`` decides: a stabilizer chain of ``gens``,
       completed by deterministic Schreier-Sims.
-
-    The block test runs only once the chain stalls: on a primitive pair
-    it tries every x, a cost that a pair the chain proves does not pay.
     """
     gens = [tuple(g) for g in gens]
     n = len(gens[0])
     if len(orbit([0], lambda x: [g[x] for g in gens], n, "point orbit")) < n:
         return False
-    chain = _Chain(n)
-    idle = 0
-    elements = itertools.chain(gens, _product_replacement(gens, random.Random(_CERT_SEED)))
-    while chain.size < order and idle < _CERT_PATIENCE:
-        idle = 0 if chain.insert(next(elements)) else idle + 1
-    if chain.size >= order:
-        return True
-    if _imprimitive(gens):
-        return False
+    walk = itertools.chain(gens, _product_replacement(gens, random.Random(_CERT_SEED)))
+    giant = any(_jordan_element(x, n // 2 + 1)
+                for x in itertools.islice(walk, _JORDAN_BEFORE_BLOCKS))
+    if not giant:
+        if _imprimitive(gens):
+            return False
+        giant = any(_jordan_element(x, 2)
+                    for x in itertools.islice(walk, _JORDAN_WALK - _JORDAN_BEFORE_BLOCKS))
+    if giant:
+        return math.factorial(n) // (1 if any(parity(g) for g in gens) else 2) == order
     return bsgs_order(gens) == order
 
 

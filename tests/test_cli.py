@@ -3,7 +3,10 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from beauville.constructions import H4, Abelian2
+from beauville.core import MalformedElementError
 from beauville.gallery import h4_mixed_structure, sym_structure
 from beauville.literals import (
     element_from_json,
@@ -35,6 +38,15 @@ def test_element_roundtrips():
     for G, literal in cases:
         x = parse_element(G, literal)
         assert element_from_json(G, element_to_json(G, x)) == x
+
+
+def test_coordinate_literals_reduce_modulo_the_group():
+    assert element_from_json(group_from_cli("ab2:5"), [7, 0]) == (2, 0)
+    assert element_from_json(group_from_cli("dih:3"), [5, 0]) == (2, 0)
+    assert element_from_json(group_from_cli("dic:3"), [7, 1]) == (1, 1)
+    # The exponent of x is not reduced: x^2 = a^s in a dicyclic group.
+    with pytest.raises(MalformedElementError):
+        element_from_json(group_from_cli("dih:3"), [0, 2])
 
 
 def test_structure_json_roundtrip_unmixed():

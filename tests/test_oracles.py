@@ -2,13 +2,14 @@
 class labels, the catalogue scan, the integer-id search core and the
 equivalence orbits.
 
-The known-order stabilizer chain (S_n, A_n) and the trace-triple
+The Jordan-element certificate (S_n, A_n) and the trace-triple
 certificate (SL(2,p), PSL(2,p)) are checked against the deterministic
 chain ``bsgs_order`` and against closure, which know nothing of either,
 and the trace triple against the orbit-stabilizer walk on vectors that
-it replaced, with every branch of Dickson's list reached.  The block
-test that refutes imprimitive pairs is checked against Higman's
-criterion on orbital graphs.  Class
+it replaced, with every branch of Dickson's list reached.  The Jordan
+element is sought in vain over primitive proper groups and found early
+on seeded giant pairs.  The block test that refutes imprimitive pairs is
+checked against Higman's criterion on orbital graphs.  Class
 labels, and the sigma test built on them, are checked against the
 conjugacy-class search.  The
 unmixed catalogue scan is checked against a brute force that uses
@@ -187,7 +188,7 @@ def test_chain_certificate_seeded_pairs(G, fallbacks):
         assert G.generates_pair(a, c) == want, (a, c)
         if want:
             positives += 1
-            # A positive is proved by the chain's lower bound alone.
+            # A positive is proved by a Jordan element alone.
             assert len(fallbacks) == before
     assert positives >= 20
 
@@ -236,8 +237,9 @@ def test_block_test_against_orbital_graphs_s6(fallbacks):
     """Every transitive pair (class representative of S_6) x (element of
     S_6): the block test finds a block exactly when Higman's criterion
     finds <a, c> imprimitive, an imprimitive pair never reaches
-    ``bsgs_order`` and a primitive proper one reaches it once.  Closures
-    are kept per a and least a^i c a^j, since <a, c> = <a, a^i c a^j>."""
+    ``bsgs_order``, nor does a pair generating A_6, which Jordan's theorem
+    and parity decide, and any other primitive proper one reaches it once.
+    Closures are kept per a and least a^i c a^j, since <a, c> = <a, a^i c a^j>."""
     G = SymmetricGroup(6)
     elements = sorted(G.elements())
     outcomes, closures, primitive = Counter(), {}, {}
@@ -259,12 +261,16 @@ def test_block_test_against_orbital_graphs_s6(fallbacks):
             if not primitive[H]:
                 outcomes["imprimitive"] += 1
                 assert len(fallbacks) == before, (a, c)
+            elif len(H) == G.order // 2:
+                outcomes["alternating"] += 1
+                assert len(fallbacks) == before, (a, c)
             elif not want:
                 outcomes["primitive-proper"] += 1
                 assert len(fallbacks) == before + 1, (a, c)
             else:
                 outcomes["generating"] += 1
-    assert outcomes == {"imprimitive": 1196, "primitive-proper": 1766, "generating": 2446}
+    assert outcomes == {"imprimitive": 1196, "alternating": 926, "primitive-proper": 840,
+                        "generating": 2446}
 
 
 def _wreath(m, k):
@@ -421,18 +427,18 @@ def test_exceptional_subgroups_are_refused():
 
 
 def test_negative_kinds(fallbacks, no_closure):
-    # Intransitive: decided by the level-0 orbit, no chain.
+    # Intransitive: decided by the orbit of 0, no chain.
     S7 = SymmetricGroup(7)
     assert not generates(S7, parse_cycles("(1,2)", 7), parse_cycles("(3,4,5,6,7)", 7))
     assert fallbacks == []
-    # Imprimitive: blocks {1,2},{3,4},{5,6},{7,8}; the chain can never reach
-    # |A8|, and the block test refutes it before the deterministic chain.
+    # Imprimitive: blocks {1,2},{3,4},{5,6},{7,8}; no element has a 5-cycle
+    # as a power, and the block test refutes it before the deterministic chain.
     A8 = AlternatingGroup(8)
     assert not generates(A8, parse_cycles("(1,3,5,7)(2,4,6,8)", 8),
                          parse_cycles("(1,2)(3,4)", 8))
     assert fallbacks == []
     # Primitive proper subgroup AGL(1,7) = <x+1, 3x> of S7 (order 42): no
-    # block, so the deterministic chain decides.
+    # block and no Jordan element, so the deterministic chain decides.
     shift = tuple((x + 1) % 7 for x in range(7))
     scale = tuple((3 * x) % 7 for x in range(7))
     assert bsgs_order([shift, scale]) == 42
@@ -448,11 +454,106 @@ def test_negative_kinds(fallbacks, no_closure):
         assert generates(G, G.project(k["B"]), G.project(k["S"]))
 
 
+# -- Jordan's theorem ---------------------------------------------------------
+# A primitive group with a p-cycle, p prime and p <= n - 3, contains A_n.
+# The negative controls are primitive proper groups, which therefore hold
+# no element whose power is such a cycle; the positive oracle pins how
+# far into its walk the certificate finds one on giant pairs.
+
+
+def _projective_line(q, r):
+    """Generators of PGL(2,q) on the q + 1 points of the projective line
+    over F_q, infinity numbered q: x + 1, r x for a primitive root r, and
+    -1/x."""
+    line = range(q + 1)
+    return [tuple((x + 1) % q if x < q else q for x in line),
+            tuple(r * x % q if x < q else q for x in line),
+            tuple(q if x == 0 else 0 if x == q else -pow(x, -1, q) % q for x in line)]
+
+
+_PRIMITIVE_PROPER = {
+    # AGL(1,7) = <x + 1, 3x> in S_7.
+    "agl1-7": (7, [tuple((x + 1) % 7 for x in range(7)), tuple(3 * x % 7 for x in range(7))], 42),
+    "pgl2-5": (6, _projective_line(5, 2), 120),
+    "pgl2-7": (8, _projective_line(7, 3), 336),
+    "m11": (11, [parse_cycles("(1,2,3,4,5,6,7,8,9,10,11)", 11),
+                 parse_cycles("(3,7,11,8)(4,10,5,6)", 11)], 7920),
+}
+
+
+@lru_cache(maxsize=None)
+def _primitive_proper_elements(name):
+    n, gens, order = _PRIMITIVE_PROPER[name]
+    if name == "m11":
+        assert bsgs_order(gens) == order
+    H = generated_subgroup(SymmetricGroup(n), gens)
+    assert len(H) == order
+    assert not perms._imprimitive(gens)
+    return sorted(H)
+
+
+@pytest.mark.parametrize("name", sorted(_PRIMITIVE_PROPER))
+def test_jordan_element_absent_from_primitive_proper_groups(name):
+    # Accepting nothing even at the weakest bound, p >= 2, which the
+    # certificate uses only once <gens> is known to be primitive.
+    elements = _primitive_proper_elements(name)
+    assert [x for x in elements if perms._jordan_element(x, 2)] == []
+
+
+@pytest.mark.parametrize("name", sorted(_PRIMITIVE_PROPER))
+def test_primitive_proper_pairs_reach_fallback_once(name, fallbacks):
+    n, gens, order = _PRIMITIVE_PROPER[name]
+    if len(gens) == 2:
+        pair = gens
+    else:
+        elements = _primitive_proper_elements(name)
+        rng = random.Random(name)
+        pair = None
+        while pair is None:
+            a, c = rng.choice(elements), rng.choice(elements)
+            if len(generated_subgroup(SymmetricGroup(n), [a, c])) == order:
+                pair = [a, c]
+    assert not generates_known_order(pair, SymmetricGroup(n).order)
+    assert len(fallbacks) == 1
+    assert fallbacks[0] == pair
+
+
+@pytest.mark.parametrize("n", [*range(8, 17), 20, 24, 28, 40])
+def test_jordan_certificate_on_seeded_giant_pairs(n, fallbacks, monkeypatch):
+    """30 seeded transitive pairs of uniform permutations of degree n,
+    giants (A_n or S_n) as bsgs_order confirms up to degree 12 and as
+    uniform pairs almost surely are (Dixon 1969).  Each is answered by a
+    Jordan element at walk index at most 100, half the walk."""
+    calls = []
+    jordan_element = perms._jordan_element
+
+    def recording(x, least):
+        calls.append(jordan_element(x, least))
+        return calls[-1]
+
+    monkeypatch.setattr(perms, "_jordan_element", recording)
+    rng = random.Random(n)
+    symmetric = SymmetricGroup(n).order
+    found = 0
+    while found < 30:
+        a, c = (tuple(rng.sample(range(n), n)) for _ in range(2))
+        giant = symmetric // (1 if parity(a) or parity(c) else 2)
+        if not _transitive([a, c]) or (n <= 12 and bsgs_order([a, c]) != giant):
+            continue
+        found += 1
+        calls.clear()
+        assert generates_known_order([a, c], giant)
+        assert calls[-1] and len(calls) - 1 <= 100, (a, c)
+        assert not generates_known_order([a, c], symmetric if giant < symmetric else giant // 2)
+    assert fallbacks == []
+
+
 def test_large_positives_without_closure_or_fallback(fallbacks, block_tests, no_closure):
     pw = gallery.alt_pair_2_3_84(16)
     assert generates(pw.group, pw.a, pw.c)
-    # The chain proves it: the block test, which tries every x on a
-    # primitive pair, runs only after the chain gives up.
+    # A Jordan element proves it: the block test, which tries every x on
+    # a primitive pair, runs only when the first elements of the walk
+    # hold none.
     assert block_tests == []
     k = sl2_constants(71)
     assert generates(SL2Group(71), k["B"], k["S"])
