@@ -268,39 +268,42 @@ def _iter_projective(basis: list, p: int):
                 break
 
 
+def gl2_conjugators(p: int, a: Mat2, aT: Mat2, c: Mat2, cT: Mat2):
+    """The invertible X with X a = aT X and X c = cT X, one per
+    projective point of the solution space of that linear system.
+
+    Conjugation by X is an automorphism of SL(2,p); it is inner exactly
+    when det X is a square, since scaling X by t multiplies det X by t^2.
+    """
+    _check_odd_prime(p)
+    rows = _commutation_rows(a, aT, p) + _commutation_rows(c, cT, p)
+    basis = _nullspace_mod_p(rows, p, 4)
+    for coords in _iter_projective(basis, p):
+        x = tuple(sum(coeff * vec[i] for coeff, vec in zip(coords, basis)) % p for i in range(4))
+        if mdet(x, p) == 0:
+            continue
+        if mmul(x, a, p) != mmul(aT, x, p) or mmul(x, c, p) != mmul(cT, x, p):
+            raise InconsistencyError("conjugation solve postcondition failed")
+        yield x
+
+
 def solve_conjugation_sl2(p: int, a: Mat2, aT: Mat2, c: Mat2, cT: Mat2, coset: str):
     """A matrix g in the requested coset with g a g^-1 = aT, g c g^-1 = cT.
 
     The coset is "sl" (det 1) or "slw" (det -1) inside the sign-extended
-    group.  Solves the linear system X a = aT X, X c = cT X and scales a
-    kernel direction into the requested determinant class; returns None
-    when no solution exists (a normal outcome, not an error).
+    group.  Scales the first of the ``gl2_conjugators`` that can reach
+    the requested determinant; returns None when none can (a normal
+    outcome, not an error).
     """
-    _check_odd_prime(p)
     if coset not in ("sl", "slw"):
         raise PreconditionError(f"unknown coset {coset!r}")
     want = 1 if coset == "sl" else p - 1
-    rows = _commutation_rows(a, aT, p) + _commutation_rows(c, cT, p)
-    basis = _nullspace_mod_p(rows, p, 4)
-    for coords in _iter_projective(basis, p):
-        x = [0, 0, 0, 0]
-        for coeff, vec in zip(coords, basis):
-            if coeff:
-                for i in range(4):
-                    x[i] = (x[i] + coeff * vec[i]) % p
-        det = (x[0] * x[3] - x[1] * x[2]) % p
-        if det == 0:
-            continue
+    for x in gl2_conjugators(p, a, aT, c, cT):
         # Scaling by t multiplies det by t^2: want/det must be a square.
-        ratio = (want * inv_mod(det, p)) % p
+        ratio = (want * inv_mod(mdet(x, p), p)) % p
         if is_square(p, ratio):
             t = sqrt_mod(p, ratio)
-            g = tuple((t * e) % p for e in x)
-            if mmul(mmul(g, a, p), minv(g, p), p) != aT:
-                raise InconsistencyError("conjugation solve postcondition failed")
-            if mmul(mmul(g, c, p), minv(g, p), p) != cT:
-                raise InconsistencyError("conjugation solve postcondition failed")
-            return g
+            return tuple((t * e) % p for e in x)
     return None
 
 

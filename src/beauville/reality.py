@@ -9,10 +9,11 @@ Automorphisms are described once per backend (``backend_for``): a case
 solver that names the outer class of each solution, and the outer maps
 that generate Aut(G) with the inner automorphisms.  Symmetric and
 alternating groups reduce to conjugator search in the ambient symmetric
-group (with the parity of the conjugator as outer label), SL/PSL to the
-linear conjugation solver before and after the outer map, rank-2
-abelian groups to a single GL(2) solve, and swap products over SL to
-componentwise solves with a shared outer-class condition.
+group (with the parity of the conjugator as outer label), SL/PSL to one
+linear solve for the conjugating matrices in GL(2,p) (with the square
+class of the determinant as outer label), rank-2 abelian groups to a
+single GL(2) solve, and swap products over SL to componentwise solves
+with a shared outer-class condition.
 """
 
 from __future__ import annotations
@@ -36,12 +37,13 @@ from .matgroups import (
     Mat2Group,
     SL2Group,
     _prime_factors,
+    gl2_conjugators,
     inv_mod,
     is_prime,
     is_square,
+    mdet,
     mmul,
     mneg,
-    solve_conjugation_sl2,
 )
 from .perms import (
     AlternatingGroup,
@@ -117,14 +119,26 @@ def it_orbit(G: Group, pair: tuple, cap: int = 10**6) -> frozenset:
 # -- case patterns ---------------------------------------------------------
 
 
+# Case i sends (a, c) to (w[j], w[k]) for (j, k) = _CASES[i] and
+# w = (a^-1, c^-1, ac), whose orders are the type triple of (a, c).
+_CASES = ((0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2))
+
+# Cases whose square fixes the pair.  Cases 1, 2, 4 and 5 square to the
+# identity too when a and c commute, but they change no verdict on a
+# structure: its group is then abelian, inversion solves case 0, and no
+# inner automorphism meets them on a nontrivial, noncyclic pair.
+_REAL_CASES = (0, 3)
+
+
 def case_targets(G: Group, i: int, a, c) -> tuple:
     """Images (psi(a), psi(c)) required so that psi after sigma_i inverts
     the pair.  Re-derived from the sigma algebra; matches the printed
     case table."""
     if i not in range(6):
         raise PreconditionError(f"case index {i} out of range 0..5")
-    ai, ci, ac = G.inv(a), G.inv(c), G.mul(a, c)
-    return ((ai, ci), (ci, ac), (ac, ai), (ci, ai), (ac, ci), (ai, ac))[i]
+    w = (G.inv(a), G.inv(c), G.mul(a, c))
+    j, k = _CASES[i]
+    return w[j], w[k]
 
 
 # -- automorphism backends --------------------------------------------------
@@ -155,37 +169,29 @@ class AutBackend:
     outer: list | None
 
 
-def _sym_solver(G, a, c, u, v) -> CaseSolution:
+def _perm_solver(labels, G, a, c, u, v) -> CaseSolution:
+    """The labels ``labels[parity(g)]`` of the g in S_n that solve the case."""
     try:
         sols = conjugator_search(a, u, c, v)
     except DegeneratePair:
-        return CaseSolution(frozenset(["inner"]), True)
+        return CaseSolution(frozenset(labels), True)  # all of S_n solves it
     except CapacityExceeded:
         return CaseSolution(frozenset(), False)
-    return CaseSolution(frozenset(["inner"] if sols else []), True)
+    return CaseSolution(frozenset(labels[parity(g)] for g in sols), True)
 
 
-def _alt_solver(G, a, c, u, v) -> CaseSolution:
-    # A_n is normal in S_n: an odd conjugator is an outer automorphism.
-    try:
-        sols = conjugator_search(a, u, c, v)
-    except DegeneratePair:
-        return CaseSolution(frozenset(["even", "odd"]), True)
-    except CapacityExceeded:
-        return CaseSolution(frozenset(), False)
-    return CaseSolution(frozenset("odd" if parity(g) else "even" for g in sols), True)
-
-
-def _linear_solver(lifts, outer, G, a, c, u, v) -> CaseSolution:
-    """Label "sl" for an inner psi, "slw" for psi = inner after ``outer``.
-
-    ``lifts(x)`` are the matrices of determinant 1 that stand for x.
-    """
+def _linear_solver(lifts, G, a, c, u, v) -> CaseSolution:
+    """Label "sl" for a conjugating matrix of square determinant (an inner
+    psi), else "slw"; ``lifts(x)`` are the det-1 matrices that stand for x."""
     p = G.p
-    return CaseSolution(frozenset(
-        label for label, (x, y) in (("sl", (a, c)), ("slw", (outer(a), outer(c))))
-        if any(solve_conjugation_sl2(p, x, su, y, sv, "sl") is not None
-               for su in lifts(u) for sv in lifts(v))), True)
+    dets = (mdet(x, p) for su in lifts(u) for sv in lifts(v)
+            for x in gl2_conjugators(p, a, su, c, sv))
+    labels: set = set()
+    for det in dets:
+        labels.add("sl" if is_square(p, det) else "slw")
+        if len(labels) == 2:
+            break
+    return CaseSolution(frozenset(labels), True)
 
 
 def _ab2_solver(G, a, c, u, v) -> CaseSolution:
@@ -237,10 +243,11 @@ def backend_for(G: Group) -> AutBackend:
     if isinstance(G, PermGroup) and G.n == 6:
         raise PreconditionError("S_6 and A_6 have an exceptional outer automorphism")
     if isinstance(G, SymmetricGroup):
-        return AutBackend(_sym_solver, [])
+        return AutBackend(partial(_perm_solver, ("inner", "inner")), [])
     if isinstance(G, AlternatingGroup):
+        # A_n is normal in S_n: an odd conjugator is an outer automorphism.
         s = tuple([1, 0] + list(range(2, G.n)))
-        return AutBackend(_alt_solver, [lambda x: pmul(s, pmul(x, s))])
+        return AutBackend(partial(_perm_solver, ("even", "odd")), [lambda x: pmul(s, pmul(x, s))])
     if isinstance(G, Mat2Group):
         p = G.p
         nu = next(x for x in range(2, p) if not is_square(p, x))
@@ -250,7 +257,7 @@ def backend_for(G: Group) -> AutBackend:
             return G.mul(mmul(d, x, p), di)
 
         lifts = (lambda x: (x,)) if isinstance(G, SL2Group) else (lambda x: (x, mneg(x, p)))
-        return AutBackend(partial(_linear_solver, lifts, outer), [outer])
+        return AutBackend(partial(_linear_solver, lifts), [outer])
     if G.kind == "ab2":
         n = G.n
         if not is_prime(n):
@@ -272,26 +279,12 @@ class CaseTable:
     """Per-case solvability for one pair."""
 
     entries: dict  # i -> CaseSolution | None (None = order-impossible)
-    commuting: bool
 
     def labels(self, cases) -> frozenset:
-        out = set()
-        for i in cases:
-            sol = self.entries.get(i)
-            if sol is not None:
-                out |= sol.labels
-        return frozenset(out)
+        return frozenset().union(*(self.entries[i].labels for i in cases if self.entries.get(i)))
 
     def decided(self, cases) -> bool:
-        return all(
-            self.entries.get(i) is None or self.entries[i].decided
-            for i in cases
-        )
-
-    def real_cases(self) -> tuple:
-        """Cases whose square fixes the pair: 0 and 3 always; the others
-        only when the pair commutes."""
-        return tuple(range(6)) if self.commuting else (0, 3)
+        return all(self.entries.get(i) is None or self.entries[i].decided for i in cases)
 
     def to_json(self) -> dict:
         out = {}
@@ -308,24 +301,22 @@ class CaseTable:
         return out
 
 
-def _case_table(G: Group, pair: tuple, onto: tuple, backend: AutBackend) -> CaseTable:
-    """Entry i solves ``pair`` onto ``case_targets(G, i, *onto)``."""
-    a, c = pair
-    orders = {x: G.element_order(x) for x in (a, c)}
-    entries: dict = {}
-    for i in range(6):
-        u, v = case_targets(G, i, *onto)
-        # An automorphism preserves element orders.
-        if G.element_order(u) != orders[a] or G.element_order(v) != orders[c]:
-            entries[i] = None
-            continue
-        entries[i] = backend.solve(G, a, c, u, v)
-    return CaseTable(entries=entries, commuting=G.commutes(a, c))
+def _case_table(G: Group, pair: tuple, onto: tuple, backend: AutBackend,
+                triple: tuple, onto_triple: tuple) -> CaseTable:
+    """Entry i solves ``pair`` onto ``case_targets(G, i, *onto)``, or is
+    None when an automorphism cannot: the target orders, entries
+    ``_CASES[i]`` of the type triple of ``onto``, differ from those of
+    ``pair``, the first two of its type triple."""
+    return CaseTable({i: backend.solve(G, *pair, *case_targets(G, i, *onto))
+                      if (onto_triple[j], onto_triple[k]) == triple[:2] else None
+                      for i, (j, k) in enumerate(_CASES)})
 
 
 def lemma_case_table(G: Group, pair: tuple) -> CaseTable:
-    """Solvability of the six inversion patterns for a pair."""
-    return _case_table(G, pair, pair, backend_for(G))
+    """Solvability of the six inversion patterns for a pair; the case
+    orders come from its type triple."""
+    triple = pair_metrics(G, *pair).triple
+    return _case_table(G, pair, pair, backend_for(G), triple, triple)
 
 
 # -- verdicts ----------------------------------------------------------------
@@ -381,19 +372,19 @@ def reality_unmixed(G: Group, v: UnmixedStructure) -> RealityVerdict:
     """
     backend = backend_for(G)
     p1, p2 = (v.a1, v.c1), (v.a2, v.c2)
-    t1 = _case_table(G, p1, p1, backend)
-    t2 = _case_table(G, p2, p2, backend)
-    swap_possible = (pair_metrics(G, *p1).order_multiset()
-                     == pair_metrics(G, *p2).order_multiset())
+    m1, m2 = pair_metrics(G, *p1), pair_metrics(G, *p2)
+    t1 = _case_table(G, p1, p1, backend, m1.triple, m1.triple)
+    t2 = _case_table(G, p2, p2, backend, m2.triple, m2.triple)
+    swap_possible = m1.order_multiset() == m2.order_multiset()
 
     all_cases = tuple(range(6))
     biholo = _settle((t1, all_cases), (t2, all_cases))
-    real = _settle((t1, t1.real_cases()), (t2, t2.real_cases()))
+    real = _settle((t1, _REAL_CASES), (t2, _REAL_CASES))
     strong = _settle((t1, (0,)), (t2, (0,)))
 
     if swap_possible and biholo is False:
-        biholo = _settle((_case_table(G, p1, p2, backend), all_cases),
-                         (_case_table(G, p2, p1, backend), all_cases))
+        biholo = _settle((_case_table(G, p1, p2, backend, m1.triple, m2.triple), all_cases),
+                         (_case_table(G, p2, p1, backend, m2.triple, m1.triple), all_cases))
     if swap_possible and real is False and biholo is not False:
         # A swap-type rho(v) = iota(v) with rho^2(v) = v is not excluded
         # by the per-pair tables.
@@ -487,7 +478,7 @@ def reality_mixed(G: Group, u: MixedQuadruple) -> RealityVerdict:
         table = _swap_case_table(G, u)
         decided_by = "component-coset"
     biholo = _settle((table, range(6)))
-    real = _settle((table, table.real_cases()))
+    real = _settle((table, _REAL_CASES))
     return RealityVerdict(biholo, real, None, (table,), decided_by=decided_by)
 
 
@@ -528,4 +519,4 @@ def _swap_case_table(G, u: MixedQuadruple) -> CaseTable:
                     labels |= got & solve(H, x2, y2, s2, t2).labels
         if possible:
             entries[case] = CaseSolution(labels, True)
-    return CaseTable(entries=entries, commuting=G.commutes(u.a, u.c))
+    return CaseTable(entries)

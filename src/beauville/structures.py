@@ -27,7 +27,7 @@ from .core import (
     generates,
     orbit,
 )
-from .matgroups import SL2Group, mneg
+from .matgroups import SL2Group, gl2_conjugators, mneg
 
 
 # -- pair metrics -----------------------------------------------------------
@@ -399,8 +399,6 @@ def _mixed_by_labels(G: H4, M: MixedQuadruple) -> CheckReport:
     label triple (label(x), label(y), t).  The odd-twist squares are
     the (w, w', 2) with w ~ w', and conjugation by g swaps the labels.
     """
-    from .reality import backend_for  # reality imports this module
-
     H = G.inner
     p, label = H.p, H.class_label
     report = CheckReport(verdict="undecided")
@@ -409,8 +407,8 @@ def _mixed_by_labels(G: H4, M: MixedQuadruple) -> CheckReport:
     gen_ok = ({ta, tc} in ({2}, {0, 2})
               and H.generates_pair(a1, c1) and H.generates_pair(a2, c2))
     if gen_ok:
-        solve = backend_for(H).solve
-        gen_ok = not any(solve(H, a1, c1, u, v).labels
+        # Aut(H) = PGL(2,p): conjugation by some X in GL(2,p).
+        gen_ok = not any(next(gl2_conjugators(p, a1, u, c1, v), None)
                          for u in (a2, mneg(a2, p)) for v in (c2, mneg(c2, p)))
     _condition(report, "generates-subgroup", gen_ok, "goursat",
                None if gen_ok else "pair does not generate the index-2 subgroup")

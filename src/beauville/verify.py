@@ -221,6 +221,7 @@ def _crit_alt16_2_3_84():
     m = pair_metrics(G, pw.a, pw.c)
     if (m.r, m.s) != (2, 3) or G.element_order(G.mul(pw.c, pw.a)) != 84:
         return False, f"orders {m.triple}"
+    # The chain, not `generates`: the constructor already ran the Jordan certificate.
     if bsgs_order([pw.a, pw.c]) != math.factorial(16) // 2:
         return False, "stabilizer-chain order does not match the alternating group"
     return True, "orders (2, 3, 84); generation certified by stabilizer chain"
@@ -270,6 +271,7 @@ def _crit_alt16_skew():
         return False, "unexpected simultaneous inversion"
     if conjugator_search(pw.a, pinv(pw.c), pw.c, pinv(pw.a)):
         return False, "unexpected crossed inversion"
+    # The chain, not `generates`: the constructor already ran the Jordan certificate.
     if bsgs_order([pw.a, pw.c]) != math.factorial(16) // 2:
         return False, "generation certificate failed"
     return True, "type (13,14,14); witness verified; inversion searches empty"

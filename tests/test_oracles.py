@@ -23,9 +23,14 @@ buckets against the stream fed the eager ones.  Pair orbits and
 keyed structure orbits are checked against breadth-first searches that
 apply every generator of the equivalence group at every point, and the
 swap route of the unmixed reality verdict against key-orbit membership.
-The case labels of SL(2,13) are checked against a sweep over GL(2,13).  The
-mixed case tables on H4(SL(2,p)) are checked against an extension walk
-on the even-twist subgroup and against a GL(2,p) sweep.  The class-label
+The case labels of SL(2,13) are checked against a sweep over GL(2,13).
+The case tables are checked against the builds they replaced: the SL/PSL
+solver that solved the outer label a second time on outer-map images,
+and the order of every target computed rather than read off the type
+triple; the real cases against the rule that counted all six cases for
+a commuting pair.  The mixed case tables on H4(SL(2,p)) are checked
+against an extension walk on the even-twist subgroup and against a
+GL(2,p) sweep.  The class-label
 branch of ``check_mixed`` on H4(SL(2,5)) and H4(SL(2,7)) is checked
 against its closure path, run on H4 over a table copy of SL(2,p), with
 each witness checked against ``sigma_naive``.
@@ -38,7 +43,7 @@ from itertools import islice
 
 import pytest
 
-from beauville import core, gallery, matgroups, perms, search
+from beauville import core, gallery, matgroups, perms, reality, search
 from beauville.constructions import (
     H4,
     Abelian2,
@@ -71,6 +76,7 @@ from beauville.matgroups import (
     mneg,
     psl_canon,
     sl2_constants,
+    solve_conjugation_sl2,
 )
 from beauville.perms import (
     AlternatingGroup,
@@ -83,7 +89,10 @@ from beauville.perms import (
     pmul,
 )
 from beauville.reality import (
+    AutBackend,
+    CaseSolution,
     StructureKeys,
+    _case_table,
     apply_sigma,
     backend_for,
     case_targets,
@@ -1378,6 +1387,120 @@ def test_sl2_13_case_labels_against_gl2_sweep(elements, biholo):
         assert "slw" in frozenset().union(*want[0], *want[1])
     verdict = reality_unmixed(G, v)
     assert (verdict.biholo_conjugate, verdict.decided_by) == (biholo, "case-table")
+
+
+# -- case tables against the builds they replaced -----------------------------
+# The SL/PSL solver used to solve a case twice: once at determinant 1 for
+# the inner label, and once more on the images of the pair under the
+# outer map for the outer label.  The table builder computed the order
+# of every target instead of reading it off the type triple.  Both are
+# copied here as they were, with the case targets they read.
+
+
+def _parent_case_targets(G, i, a, c):
+    ai, ci, ac = G.inv(a), G.inv(c), G.mul(a, c)
+    return ((ai, ci), (ci, ac), (ac, ai), (ci, ai), (ac, ci), (ai, ac))[i]
+
+
+def _two_solve_linear_solver(lifts, outer, G, a, c, u, v) -> CaseSolution:
+    """Label "sl" for an inner psi, "slw" for psi = inner after ``outer``.
+
+    ``lifts(x)`` are the matrices of determinant 1 that stand for x.
+    """
+    p = G.p
+    return CaseSolution(frozenset(
+        label for label, (x, y) in (("sl", (a, c)), ("slw", (outer(a), outer(c))))
+        if any(solve_conjugation_sl2(p, x, su, y, sv, "sl") is not None
+               for su in lifts(u) for sv in lifts(v))), True)
+
+
+def _order_pruned_case_table(G, pair, onto, backend) -> dict:
+    """Entry i solves ``pair`` onto ``case_targets(G, i, *onto)``."""
+    a, c = pair
+    orders = {x: G.element_order(x) for x in (a, c)}
+    entries: dict = {}
+    for i in range(6):
+        u, v = _parent_case_targets(G, i, *onto)
+        # An automorphism preserves element orders.
+        if G.element_order(u) != orders[a] or G.element_order(v) != orders[c]:
+            entries[i] = None
+            continue
+        entries[i] = backend.solve(G, a, c, u, v)
+    return entries
+
+
+def _two_solve_backend(G):
+    p, outer = G.p, backend_for(G).outer[0]
+    lifts = (lambda x: (x,)) if isinstance(G, SL2Group) else (lambda x: (x, mneg(x, p)))
+    return AutBackend(partial(_two_solve_linear_solver, lifts, outer), [outer])
+
+
+def _case_table_pairs(G, rng, count):
+    """Seeded pairs, generating or not, with +-I, unipotent elements and
+    commuting pairs among them."""
+    p = G.p
+    special = [G.project(x) for x in (mat_id(p), mneg(mat_id(p), p), (1, 1, 0, 1),
+                                      (1, 0, 3, 1), (p - 1, 1, 0, p - 1))]
+    elements = sorted(generated_subgroup(G, G.generators), key=repr)
+    pairs = [(x, y) for x in special for y in special]
+    pairs += [(rng.choice(special), rng.choice(elements)) for _ in range(count // 4)]
+    pairs += [(x, G.mul(x, x)) for x in rng.sample(elements, count // 4)]
+    pairs += [(rng.choice(elements), rng.choice(elements)) for _ in range(count)]
+    return pairs
+
+
+def _case_entries(entries):
+    return [None if sol is None else (sol.labels, sol.decided)
+            for _, sol in sorted(entries.items())]
+
+
+@pytest.mark.parametrize("desc", ["sl2:5", "sl2:7", "sl2:11", "sl2:13",
+                                  "psl2:7", "psl2:11", "psl2:13"])
+def test_linear_case_tables_against_two_solves(desc):
+    G = group_from_descriptor(parse_descriptor(desc))
+    rng = random.Random(desc)
+    pairs = _case_table_pairs(G, rng, 40)
+    old, new = _two_solve_backend(G), backend_for(G)
+    seen = Counter()
+    for pair in pairs:
+        onto = rng.choice([pair, rng.choice(pairs)])
+        m, m_onto = pair_metrics(G, *pair), pair_metrics(G, *onto)
+        got = _case_entries(_case_table(G, pair, onto, new, m.triple, m_onto.triple).entries)
+        assert got == _case_entries(_order_pruned_case_table(G, pair, onto, old)), (pair, onto)
+        seen.update("+".join(sorted(entry[0])) for entry in got if entry is not None)
+    assert {"", "sl", "slw", "sl+slw"} <= set(seen), seen
+
+
+@pytest.mark.parametrize("desc", ["sym:5", "alt:5", "ab2:5", "dih:8", "wallpaper:3:3"])
+def test_case_orders_from_type_triples(desc):
+    G = group_from_descriptor(parse_descriptor(desc))
+    elements = sorted(generated_subgroup(G, G.generators), key=repr)
+    rng = random.Random(desc)
+    backend = backend_for(G)
+    nones = Counter()
+    for _ in range(40):
+        pair = (rng.choice(elements), rng.choice(elements))
+        got = _case_entries(lemma_case_table(G, pair).entries)
+        assert got == _case_entries(_order_pruned_case_table(G, pair, pair, backend)), pair
+        nones[got.count(None)] += 1
+    assert len(nones) > 1, nones  # some tables have impossible cases, some do not
+
+
+# The real cases are 0 and 3; the rule before counted all six for a
+# commuting pair.  On abelian groups the two rules give the same verdicts.
+
+
+@pytest.mark.parametrize("desc", ["ab2:5", "ab2:7", "prod(cyc:5,cyc:5)"])
+def test_real_cases_on_commuting_pairs(desc, monkeypatch):
+    G = group_from_descriptor(parse_descriptor(desc))
+    idx = IndexedGroup(G)
+    structures = [idx.structure(q) for q in islice(_structure_stream(idx, SearchConstraints()),
+                                                   2000)]
+    sample = random.Random(desc).sample(structures, 40)
+    assert all(G.commutes(v.a1, v.c1) and G.commutes(v.a2, v.c2) for v in sample)
+    got = [_verdict_fields(G, v) for v in sample]
+    monkeypatch.setattr(reality, "_REAL_CASES", tuple(range(6)))
+    assert got == [_verdict_fields(G, v) for v in sample]
 
 
 # -- mixed reality on H4(SL(2,p)) ----------------------------------------------

@@ -211,11 +211,12 @@ def test_conjugator_search_cap_boundary(monkeypatch):
     # of the four common fixed points four.  The placements are the
     # partial solutions, 2 + 4 + 16 + 48 + 96 + 96 = 262, of which the
     # last 96 are the solutions.
-    from beauville.reality import _sym_solver
+    from beauville.reality import backend_for
 
     G = SymmetricGroup(8)
+    solve = backend_for(G).solve
     a, c = parse_cycles("(1,2)", 8), parse_cycles("(3,4)", 8)
-    assert _sym_solver(G, a, c, a, c).labels == {"inner"}
+    assert solve(G, a, c, a, c).labels == {"inner"}
     monkeypatch.setattr(perms, "DEFAULT_CONJUGATOR_CAP", 262)
     assert len(conjugator_search(a, a, c, c)) == 2 * 2 * 24
     monkeypatch.setattr(perms, "DEFAULT_CONJUGATOR_CAP", 261)
@@ -223,7 +224,7 @@ def test_conjugator_search_cap_boundary(monkeypatch):
         conjugator_search(a, a, c, c)
     assert (exc.value.what, exc.value.cap) == ("conjugator search", 261)
     # Past the cap the case is undecided, never a boolean.
-    sol = _sym_solver(G, a, c, a, c)
+    sol = solve(G, a, c, a, c)
     assert (sol.labels, sol.decided) == (frozenset(), False)
 
 
