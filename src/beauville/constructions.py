@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .core import Group, PreconditionError
-from .matgroups import SL2Group, PSL2Group, is_prime
+from .matgroups import SL2Group, PSL2Group, is_prime, mmul
 from .perms import AlternatingGroup, SymmetricGroup
 
 
@@ -246,12 +246,7 @@ class Wallpaper(Group):
         mat = (col1[0] % m, col2[0] % m, col1[1] % m, col2[1] % m)  # row-major
         self._powers = [(1 % m, 0, 0, 1 % m)]
         for _ in range(d - 1):
-            a, b, c, e = self._powers[-1]
-            p_, q_, r_, s_ = mat
-            self._powers.append((
-                (a * p_ + b * r_) % m, (a * q_ + b * s_) % m,
-                (c * p_ + e * r_) % m, (c * q_ + e * s_) % m,
-            ))
+            self._powers.append(mmul(self._powers[-1], mat, m))
 
     def _act(self, j: int, v: tuple) -> tuple:
         a, b, c, e = self._powers[j % self.d]
@@ -345,6 +340,15 @@ class H4(Group):
     @property
     def order(self) -> int:
         return 4 * self.inner.order * self.inner.order
+
+    def element_order(self, g) -> int:
+        # (x, y, t)^2 is (x^2, y^2, 2t) for even t and (xy, yx, 2) for odd
+        # t, where yx is conjugate to xy.
+        x, y, t = g
+        order = self.inner.element_order
+        if t % 2:
+            return 2 * math.lcm(order(self.inner.mul(x, y)), 2)
+        return math.lcm(order(x), order(y), 2 if t else 1)
 
     @property
     def generators(self):

@@ -265,6 +265,14 @@ def sl2_pair_46p(p: int) -> PairWithWitness:
     return PairWithWitness(G, a, c, witness=consts["W"], relation="inverts")
 
 
+def split_torus_pair(p: int, lam: int) -> tuple:
+    """D(lam) = diag(lam, lam^-1) and its conjugate by the closed-form
+    unimodular matrix ``split_conjugator(p, lam)``."""
+    D = diag_mat(p, lam)
+    g = split_conjugator(p, lam)
+    return D, mmul(mmul(g, D, p), minv(g, p), p)
+
+
 def sl2_pair_qqq_split(p: int, q: int) -> PairWithWitness:
     """Type (q, q, q) system from a split torus: D(lam) and its
     conjugate by the closed-form unimodular matrix.  Requires prime
@@ -272,10 +280,7 @@ def sl2_pair_qqq_split(p: int, q: int) -> PairWithWitness:
     if not is_prime(q) or q < 5:
         raise PreconditionError(f"q must be a prime >= 5, got {q}")
     G = SL2Group(p)
-    lam = mult_order_element(p, q)
-    D = diag_mat(p, lam)
-    g = split_conjugator(p, lam)
-    c = mmul(mmul(g, D, p), minv(g, p), p)
+    D, c = split_torus_pair(p, mult_order_element(p, q))
     _expect_type(G, D, c, (q, q, q), "pair")
     _expect_generates(G, D, c, "pair")
     return PairWithWitness(G, D, c)
@@ -355,9 +360,7 @@ def sl2_pair_555(p: int, coset: str) -> PairWithWitness:
         want_square = coset == "sl"
         if is_square(p, ev) != want_square:
             continue
-        D = diag_mat(p, lam)
-        g = split_conjugator(p, lam)
-        c = mmul(mmul(g, D, p), minv(g, p), p)
+        D, c = split_torus_pair(p, lam)
         _expect_type(G, D, c, (5, 5, 5), "pair")
         _expect_generates(G, D, c, "pair")
         return PairWithWitness(G, D, c)

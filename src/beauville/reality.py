@@ -196,18 +196,11 @@ def _linear_solver(lifts, G, a, c, u, v) -> CaseSolution:
 
 def _ab2_solver(G, a, c, u, v) -> CaseSolution:
     n = G.n
-    det = (a[0] * c[1] - a[1] * c[0]) % n
-    if math.gcd(det, n) != 1:
+    if math.gcd(a[0] * c[1] - a[1] * c[0], n) != 1:
         return CaseSolution(frozenset(), False)
-    # M [a c] = [u v]; the generating pair is a basis so M is unique.
-    dinv = pow(det, -1, n)
-    ia = ((c[1] * dinv) % n, (-a[1] * dinv) % n)
-    ic = ((-c[0] * dinv) % n, (a[0] * dinv) % n)
-    m00 = (u[0] * ia[0] + v[0] * ic[0]) % n
-    m01 = (u[0] * ia[1] + v[0] * ic[1]) % n
-    m10 = (u[1] * ia[0] + v[1] * ic[0]) % n
-    m11 = (u[1] * ia[1] + v[1] * ic[1]) % n
-    invertible = math.gcd((m00 * m11 - m01 * m10) % n, n) == 1
+    # M [a c] = [u v]; the generating pair is a basis so M is unique, and
+    # it is invertible exactly when det [u v] is a unit.
+    invertible = math.gcd(u[0] * v[1] - u[1] * v[0], n) == 1
     return CaseSolution(frozenset(["gl2"] if invertible else []), True)
 
 
@@ -467,56 +460,57 @@ def reality_mixed(G: Group, u: MixedQuadruple) -> RealityVerdict:
     outer label.  Over any other group only inner automorphisms are
     tried, and the verdict is never negative.
 
-    On H4(SL(2,p)) both a and c must have twist 2 (``_swap_case_table``
+    On H4(SL(2,p)) both a and c must have twist 2 (``_swap_solver``
     raises PreconditionError otherwise), although ``check_mixed`` also
     passes pairs with a twist-0 generator.
     """
-    if not isinstance(G, H4) or not isinstance(G.inner, SL2Group):
-        table = lemma_case_table(G, (u.a, u.c))
-        decided_by = "inner-only (incomplete)"
-    else:
-        table = _swap_case_table(G, u)
+    if isinstance(G, H4) and isinstance(G.inner, SL2Group):
+        backend = AutBackend(partial(_swap_solver, backend_for(G.inner).solve), None)
         decided_by = "component-coset"
+    else:
+        backend = backend_for(G)
+        decided_by = "inner-only (incomplete)"
+    pair = (u.a, u.c)
+    triple = pair_metrics(G, *pair).triple
+    table = _case_table(G, pair, pair, backend, triple, triple)
     biholo = _settle((table, range(6)))
     real = _settle((table, _REAL_CASES))
     return RealityVerdict(biholo, real, None, (table,), decided_by=decided_by)
 
 
-def _swap_case_table(G, u: MixedQuadruple) -> CaseTable:
-    """Case table of a twist-2 pair on H4(SL(2,p)) from component solves.
+def _swap_solver(solve, G, a, c, u, v) -> CaseSolution | None:
+    """One case of a twist-2 pair on H4(SL(2,p)) from the component
+    solves ``solve`` of SL(2,p).
 
-    Case 0 or 3 is solved by a (route, sign) whose two component solves
+    The case is solved by a (route, sign) whose two component solves
     share a label.  A (route, sign) is tried only when every source
     element has the order of its signed target, and a case that none
-    passes is impossible.  Cases 1, 2, 4 and 5 send a twist-2 element
-    to the twist-0 element a*c, which no automorphism does.
+    passes is impossible (None).  An automorphism keeps twist 2, so a
+    twist-0 target, such as a*c in cases 1, 2, 4 and 5, is impossible
+    too.
 
     Precondition: a and c both have twist 2; a pair with a twist-0
     generator raises PreconditionError, even when it passes
     ``check_mixed``.
     """
+    if a[2] != 2 or c[2] != 2:
+        raise PreconditionError("expected twist-2 structure elements on the swap product")
+    if u[2] != 2 or v[2] != 2:
+        return None
     H = G.inner
     p = H.p
-    solve = backend_for(H).solve
-    order = cache(H.element_order)  # each element recurs across cases and signs
-    (a1, a2, ta), (c1, c2, tc) = u.a, u.c
-    if ta != 2 or tc != 2:
-        raise PreconditionError("expected twist-2 structure elements on the swap product")
-    routes = (((a1, c1), (a2, c2)), ((a2, c2), (a1, c1)))  # direct, swap type
-    entries: dict = dict.fromkeys(range(6))
-    for case in (0, 3):
-        targets = (case_targets(H, case, a1, c1), case_targets(H, case, a2, c2))
-        labels, possible = frozenset(), False
-        for signed in (targets, tuple(tuple(mneg(x, p) for x in t) for t in targets)):
-            for sources in routes:
-                if any(order(x) != order(y) for pair, images in zip(sources, signed)
-                       for x, y in zip(pair, images)):
-                    continue
-                possible = True
-                ((x1, y1), (x2, y2)), ((s1, t1), (s2, t2)) = sources, signed
-                got = solve(H, x1, y1, s1, t1).labels
-                if got:
-                    labels |= got & solve(H, x2, y2, s2, t2).labels
-        if possible:
-            entries[case] = CaseSolution(labels, True)
-    return CaseTable(entries)
+    order = cache(H.element_order)  # each element recurs across signs and routes
+    routes = (((a[0], c[0]), (a[1], c[1])), ((a[1], c[1]), (a[0], c[0])))  # direct, swap type
+    targets = ((u[0], v[0]), (u[1], v[1]))
+    labels, possible = frozenset(), False
+    for signed in (targets, tuple(tuple(mneg(x, p) for x in t) for t in targets)):
+        for sources in routes:
+            if any(order(x) != order(y) for pair, images in zip(sources, signed)
+                   for x, y in zip(pair, images)):
+                continue
+            possible = True
+            ((x1, y1), (x2, y2)), ((s1, t1), (s2, t2)) = sources, signed
+            got = solve(H, x1, y1, s1, t1).labels
+            if got:
+                labels |= got & solve(H, x2, y2, s2, t2).labels
+    return CaseSolution(labels, True) if possible else None

@@ -16,6 +16,7 @@ import time
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .core import (
     CapacityExceeded,
@@ -406,13 +407,9 @@ def enumerate_unmixed(G: Group, constraints: SearchConstraints | None = None,
     if constraints.up_to_orbit:
         StructureKeys(G)  # fail fast when the outer automorphisms are unknown
     idx = IndexedGroup(G)
-    quads = []
-    complete = True
-    for q in _structure_stream(idx, constraints):
-        quads.append(q)
-        if limit is not None and len(quads) >= limit:
-            complete = False
-            break
+    stream = _structure_stream(idx, constraints)
+    quads = list(islice(stream, limit))
+    complete = next(stream, None) is None
     # The orbit reduction orders its output itself.
     if constraints.up_to_orbit:
         structures = orbit_representatives(G, [idx.structure(q) for q in quads])

@@ -22,13 +22,11 @@ from .matgroups import (
     SL2Group,
     PSL2Group,
     conjugation_cosets,
-    diag_mat,
     e_invariant,
     is_square,
     minv,
     mmul,
     mult_order_element,
-    split_conjugator,
 )
 from .perms import (
     SymmetricGroup,
@@ -301,9 +299,7 @@ def _crit_coset_dichotomy_11():
     W = (0, 1, 1, 0)
     for e in (1, 2, 3, 4):
         lam = pow(lam0, e, p)
-        D = diag_mat(p, lam)
-        g = split_conjugator(p, lam)
-        c = mmul(mmul(g, D, p), minv(g, p), p)
+        D, c = gallery.split_torus_pair(p, lam)
         Di, ci = minv(D, p), minv(c, p)
         sols = conjugation_cosets(p, D, Di, c, ci)
         ev = e_invariant(p, lam)

@@ -1,7 +1,9 @@
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +23,16 @@ from beauville.perms import SymmetricGroup
 from beauville.structures import MixedQuadruple, UnmixedStructure, sigma_set
 
 
+# The checkout's sources, so that the CLI runs without an install.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_bv(*args, stdin=None):
+    pythonpath = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "beauville.cli", *args],
         input=stdin, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     return proc
 
@@ -204,6 +212,14 @@ def test_cli_reports_carry_no_seed():
         assert "seed" not in json.loads(proc.stdout)
     assert run_bv("search", "--group", "ab2:5", "--threads", "2").returncode == 64
     assert run_bv("search", "--group", "ab2:5", "--seed", "1").returncode == 64
+
+
+def test_cli_search_limit_at_the_count_is_complete():
+    for limit, complete in (("11520", True), ("11519", False)):
+        proc = run_bv("search", "--group", "ab2:5", "--limit", limit, "--json")
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        assert data["complete"] is complete and len(data["found"]) == 11519 + complete, limit
 
 
 def test_cli_usage_errors():

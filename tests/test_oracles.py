@@ -28,17 +28,21 @@ The case tables are checked against the builds they replaced: the SL/PSL
 solver that solved the outer label a second time on outer-map images,
 and the order of every target computed rather than read off the type
 triple; the real cases against the rule that counted all six cases for
-a commuting pair.  The mixed case tables on H4(SL(2,p)) are checked
-against an extension walk on the even-twist subgroup and against a
-GL(2,p) sweep.  The class-label
+a commuting pair; the rank-2 abelian solver against the one that
+inverted [a c].  The mixed case tables on H4(SL(2,p)) are checked
+against an extension walk on the even-twist subgroup, against a
+GL(2,p) sweep, and against the table loop that the case solver
+replaced; the orders H4 reads off the components against iteration.
+The class-label
 branch of ``check_mixed`` on H4(SL(2,5)) and H4(SL(2,7)) is checked
 against its closure path, run on H4 over a table copy of SL(2,p), with
 each witness checked against ``sigma_naive``.
 """
 
+import math
 import random
 from collections import Counter, deque
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import islice
 
 import pytest
@@ -91,7 +95,9 @@ from beauville.perms import (
 from beauville.reality import (
     AutBackend,
     CaseSolution,
+    CaseTable,
     StructureKeys,
+    _ab2_solver,
     _case_table,
     apply_sigma,
     backend_for,
@@ -1503,6 +1509,42 @@ def test_real_cases_on_commuting_pairs(desc, monkeypatch):
     assert got == [_verdict_fields(G, v) for v in sample]
 
 
+# The rank-2 abelian solver built M = [u v][a c]^-1 entry by entry only
+# to ask whether M is invertible; copied here as it was.
+
+
+def _inverse_matrix_ab2_solver(G, a, c, u, v) -> CaseSolution:
+    n = G.n
+    det = (a[0] * c[1] - a[1] * c[0]) % n
+    if math.gcd(det, n) != 1:
+        return CaseSolution(frozenset(), False)
+    # M [a c] = [u v]; the generating pair is a basis so M is unique.
+    dinv = pow(det, -1, n)
+    ia = ((c[1] * dinv) % n, (-a[1] * dinv) % n)
+    ic = ((-c[0] * dinv) % n, (a[0] * dinv) % n)
+    m00 = (u[0] * ia[0] + v[0] * ic[0]) % n
+    m01 = (u[0] * ia[1] + v[0] * ic[1]) % n
+    m10 = (u[1] * ia[0] + v[1] * ic[0]) % n
+    m11 = (u[1] * ia[1] + v[1] * ic[1]) % n
+    invertible = math.gcd((m00 * m11 - m01 * m10) % n, n) == 1
+    return CaseSolution(frozenset(["gl2"] if invertible else []), True)
+
+
+@pytest.mark.parametrize("n", [5, 7, 11, 25, 35])
+def test_ab2_solver_against_inverse_matrix(n):
+    G = Abelian2(n)
+    rng = random.Random(n)
+    vectors = [(x, y) for x in range(n) for y in range(n)]
+    seen = Counter()
+    for _ in range(3000):
+        a, c, u, v = (rng.choice(vectors) for _ in range(4))
+        got = _ab2_solver(G, a, c, u, v)
+        assert got == _inverse_matrix_ab2_solver(G, a, c, u, v), (a, c, u, v)
+        seen[got.decided, got.labels] += 1
+    assert set(seen) == {(False, frozenset()), (True, frozenset()),
+                         (True, frozenset(["gl2"]))}, seen
+
+
 # -- mixed reality on H4(SL(2,p)) ----------------------------------------------
 # The case tables of twist-2 pairs (a, c) on the swap product, against
 # an extension walk that knows nothing of signs, routes or labels, and
@@ -1716,3 +1758,105 @@ def test_reality_mixed_needs_twist_2_pairs():
     assert check_mixed(G, u).passed
     with pytest.raises(PreconditionError, match="twist-2"):
         reality_mixed(G, u)
+
+
+# -- the swap-product table before the case solver -----------------------------
+# reality_mixed built its table on H4(SL(2,p)) with a loop of its own
+# over cases, signs and routes; it is copied here as it was.  The
+# quadruples add, to seeded ones, second components equal to the first,
+# to its negative, or to the first with a and c exchanged.
+
+
+def _swap_case_table(G, u: MixedQuadruple) -> CaseTable:
+    """Case table of a twist-2 pair on H4(SL(2,p)) from component solves.
+
+    Case 0 or 3 is solved by a (route, sign) whose two component solves
+    share a label.  A (route, sign) is tried only when every source
+    element has the order of its signed target, and a case that none
+    passes is impossible.  Cases 1, 2, 4 and 5 send a twist-2 element
+    to the twist-0 element a*c, which no automorphism does.
+
+    Precondition: a and c both have twist 2; a pair with a twist-0
+    generator raises PreconditionError, even when it passes
+    ``check_mixed``.
+    """
+    H = G.inner
+    p = H.p
+    solve = backend_for(H).solve
+    order = cache(H.element_order)  # each element recurs across cases and signs
+    (a1, a2, ta), (c1, c2, tc) = u.a, u.c
+    if ta != 2 or tc != 2:
+        raise PreconditionError("expected twist-2 structure elements on the swap product")
+    routes = (((a1, c1), (a2, c2)), ((a2, c2), (a1, c1)))  # direct, swap type
+    entries: dict = dict.fromkeys(range(6))
+    for case in (0, 3):
+        targets = (case_targets(H, case, a1, c1), case_targets(H, case, a2, c2))
+        labels, possible = frozenset(), False
+        for signed in (targets, tuple(tuple(mneg(x, p) for x in t) for t in targets)):
+            for sources in routes:
+                if any(order(x) != order(y) for pair, images in zip(sources, signed)
+                       for x, y in zip(pair, images)):
+                    continue
+                possible = True
+                ((x1, y1), (x2, y2)), ((s1, t1), (s2, t2)) = sources, signed
+                got = solve(H, x1, y1, s1, t1).labels
+                if got:
+                    labels |= got & solve(H, x2, y2, s2, t2).labels
+        if possible:
+            entries[case] = CaseSolution(labels, True)
+    return CaseTable(entries)
+
+
+def _swap_quadruples(p, seed, count):
+    quadruples = _twist2_quadruples(p, seed, count)
+    out = list(quadruples)
+    for a1, _, c1, _ in quadruples[:count // 2]:
+        out += [(a1, a1, c1, c1), (a1, mneg(a1, p), c1, mneg(c1, p)), (a1, c1, c1, a1)]
+    return out
+
+
+@pytest.mark.parametrize("p, count", [(3, 1000), (5, 600), (7, 400), (11, 200), (13, 200)])
+def test_mixed_case_tables_against_swap_table(p, count):
+    G = H4(SL2Group(p))
+    seen = Counter()
+    for k, (a1, a2, c1, c2) in enumerate(_swap_quadruples(p, 2027, count)):
+        M = MixedQuadruple(G, (a1, a2, 2), (c1, c2, 2), G.coset_rep)
+        got = _case_entries(reality_mixed(G, M).tables[0].entries)
+        assert got == _case_entries(_swap_case_table(G, M).entries), k
+        seen.update("impossible" if entry is None else "+".join(sorted(entry[0]))
+                    for entry in (got[0], got[3]))
+    assert set(seen) == {"impossible", "", "sl", "slw", "sl+slw"}, seen
+    for ta, tc in ((0, 2), (2, 0), (0, 0)):
+        M = MixedQuadruple(G, (a1, a2, ta), (c1, c2, tc), G.coset_rep)
+        for build in (lambda: reality_mixed(G, M), lambda: _swap_case_table(G, M)):
+            with pytest.raises(PreconditionError, match="twist-2"):
+                build()
+
+
+# -- element orders on the swap product -----------------------------------------
+# H4 reads an element's order off its components; the generic order
+# iterates the element.
+
+
+@pytest.mark.parametrize("inner", [SL2Group(3), AlternatingGroup(4), dihedral(3)],
+                         ids=["sl2:3", "alt:4", "dih:3"])
+def test_h4_element_order_against_iteration_all(inner):
+    G = H4(inner)
+    twists = Counter()
+    for g in G.elements():
+        assert G.element_order(g) == core.Group.element_order(G, g), g
+        twists[g[2]] += 1
+    assert set(twists) == {0, 1, 2, 3}
+
+
+def test_h4_element_order_against_iteration_seeded():
+    G = H4(SL2Group(7))
+    elements = sorted(G.inner.elements(), key=repr)
+    rng = random.Random(7)
+    orders = Counter()
+    for t in range(4):
+        for _ in range(150):
+            g = (rng.choice(elements), rng.choice(elements), t)
+            orders[t, G.element_order(g)] += 1
+            assert G.element_order(g) == core.Group.element_order(G, g), g
+    assert len(orders) > 12, orders

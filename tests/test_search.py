@@ -132,6 +132,16 @@ def test_enumerate_type_filter():
                    for v in res.structures)
 
 
+def test_enumerate_limit_at_the_count_is_complete():
+    # ab2:5 has 11520 structures: a limit that takes them all leaves
+    # nothing behind, and one less leaves one.
+    A = Abelian2(5)
+    for limit, complete in ((11520, True), (11521, True), (11519, False)):
+        res = enumerate_unmixed(A, limit=limit)
+        assert len(res.structures) == min(limit, 11520)
+        assert res.complete is complete and res.report["complete"] is complete, limit
+
+
 def test_enumerate_rejects_limit_below_one():
     for limit in (0, -1):
         with pytest.raises(PreconditionError):
