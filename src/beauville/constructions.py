@@ -57,6 +57,9 @@ class Abelian2(Group):
     def generates_pair(self, a, c) -> bool:
         return math.gcd(a[0] * c[1] - a[1] * c[0], self.n) == 1
 
+    def conjugation(self, g):
+        return lambda x: x  # abelian: every conjugation is the identity
+
     def descriptor(self) -> dict:
         return {"kind": "ab2", "n": self.n}
 

@@ -418,6 +418,19 @@ class Mat2Group(Group):
     def generates_pair(self, a, c) -> bool:
         return generates_sl2(self.p, a, c)
 
+    def conjugation(self, g):
+        """x -> g x g^-1: both products in one expression, then ``project``."""
+        p, project = self.p, self.project
+        a, b, c, d = g
+        e, f, h, k = minv(g, p)
+
+        def conj(x):
+            x0, x1, x2, x3 = x
+            m0, m1, m2, m3 = a * x0 + b * x2, a * x1 + b * x3, c * x0 + d * x2, c * x1 + d * x3
+            return project(((m0 * e + m1 * h) % p, (m0 * f + m1 * k) % p,
+                            (m2 * e + m3 * h) % p, (m2 * f + m3 * k) % p))
+        return conj
+
     def descriptor(self) -> dict:
         return {"kind": self.kind, "p": self.p}
 

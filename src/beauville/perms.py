@@ -471,6 +471,10 @@ class PermGroup(Group):
     def inv(self, x):
         return pinv(x)
 
+    def conjugation(self, g):
+        gi = pinv(g)
+        return lambda x: tuple([g[x[j]] for j in gi])
+
     @property
     def generators(self):
         return list(self._gens)

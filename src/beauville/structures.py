@@ -379,7 +379,7 @@ def check_mixed(G: Group, M: MixedQuadruple,
         report.witness = bad
         return _settle(report)
 
-    conj_sigma = frozenset(mul(g, mul(x, G.inv(g))) for x in sigma)
+    conj_sigma = frozenset(map(G.conjugation(g), sigma))
     common = (sigma & conj_sigma) - {G.identity}
     _condition(report, "conjugate-sigma-intersection", not common, "exact",
                None if not common else "sigma meets its g-conjugate nontrivially")

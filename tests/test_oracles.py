@@ -29,7 +29,12 @@ solver that solved the outer label a second time on outer-map images,
 and the order of every target computed rather than read off the type
 triple; the real cases against the rule that counted all six cases for
 a commuting pair; the rank-2 abelian solver against the one that
-inverted [a c].  The mixed case tables on H4(SL(2,p)) are checked
+inverted [a c]; the SL/PSL solver's trace screen against the unscreened
+solve; the inner-only solver, which lists the elements once, against
+the one that took the closure for every case.  Each backend's
+conjugation map is checked against the two products it fuses, and
+the class search and the pair orbits on it against searches built
+on those products.  The mixed case tables on H4(SL(2,p)) are checked
 against an extension walk on the even-twist subgroup, against a
 GL(2,p) sweep, and against the table loop that the case solver
 replaced; the orders H4 reads off the components against iteration.
@@ -49,6 +54,7 @@ import pytest
 
 from beauville import core, gallery, matgroups, perms, reality, search
 from beauville.constructions import (
+    _KINDS,
     H4,
     Abelian2,
     Wallpaper,
@@ -72,12 +78,14 @@ from beauville.matgroups import (
     PSL2Group,
     SL2Group,
     diag_mat,
+    gl2_conjugators,
     is_square,
     mat_id,
     mdet,
     minv,
     mmul,
     mneg,
+    mtrace,
     psl_canon,
     sl2_constants,
     solve_conjugation_sl2,
@@ -99,6 +107,7 @@ from beauville.reality import (
     StructureKeys,
     _ab2_solver,
     _case_table,
+    _linear_solver,
     apply_sigma,
     backend_for,
     case_targets,
@@ -1435,10 +1444,15 @@ def _order_pruned_case_table(G, pair, onto, backend) -> dict:
     return entries
 
 
+def _lifts(G):
+    """The matrices of determinant 1 that stand for an element of G."""
+    p = G.p
+    return (lambda x: (x,)) if isinstance(G, SL2Group) else (lambda x: (x, mneg(x, p)))
+
+
 def _two_solve_backend(G):
-    p, outer = G.p, backend_for(G).outer[0]
-    lifts = (lambda x: (x,)) if isinstance(G, SL2Group) else (lambda x: (x, mneg(x, p)))
-    return AutBackend(partial(_two_solve_linear_solver, lifts, outer), [outer])
+    outer = backend_for(G).outer[0]
+    return AutBackend(partial(_two_solve_linear_solver, _lifts(G), outer), [outer])
 
 
 def _case_table_pairs(G, rng, count):
@@ -1860,3 +1874,195 @@ def test_h4_element_order_against_iteration_seeded():
             orders[t, G.element_order(g)] += 1
             assert G.element_order(g) == core.Group.element_order(G, g), g
     assert len(orders) > 12, orders
+
+
+# Conjugation maps.  Each backend's ``conjugation(g)`` is checked
+# against the two products it fuses, and the class search that runs on
+# it against the search on those products.
+
+_CONJUGATION_FLEET = {"sym": "sym:6", "alt": "alt:5", "sl2": "sl2:7", "psl2": "psl2:11",
+                      "ab2": "ab2:5", "cyc": "cyc:6", "dih": "dih:8", "dic": "dic:6",
+                      "wallpaper": "wallpaper:4:3"}
+
+
+def test_conjugation_fleet_covers_every_kind():
+    assert set(_CONJUGATION_FLEET) == set(_KINDS)
+
+
+@pytest.mark.parametrize("desc", [*_CONJUGATION_FLEET.values(), "prod(dih:4,cyc:3)",
+                                  "prod(cyc:5,cyc:5)", "h4:sl2:3"])
+def test_conjugation_against_products(desc):
+    G = _fleet_group(desc)
+    elements = sorted(generated_subgroup(G, G.generators), key=repr)
+    rng = random.Random(desc)
+    moved = 0
+    for g in [*G.generators, *(rng.choice(elements) for _ in range(12))]:
+        f, gi = G.conjugation(g), G.inv(g)
+        for x in (rng.choice(elements) for _ in range(12)):
+            want = G.mul(g, G.mul(x, gi))
+            assert f(x) == want == conjugate(G, x, g), (g, x)
+            moved += want != x
+    if desc not in ("ab2:5", "cyc:6", "prod(cyc:5,cyc:5)"):
+        assert moved > 0
+
+
+def _class_by_products(G, g):
+    """The class search as it was: two products per step."""
+    gens = [(h, G.inv(h)) for h in G.generators]
+    return frozenset(orbit([g], lambda x: [G.mul(h, G.mul(x, hi)) for h, hi in gens],
+                           10**6, "conjugacy class"))
+
+
+@pytest.mark.parametrize("desc", ["ab2:5", "dih:8", "prod(cyc:5,cyc:5)", "psl2:7"])
+def test_conjugacy_class_against_products(desc):
+    G = _fleet_group(desc)
+    for x in generated_subgroup(G, G.generators):
+        assert conjugacy_class(G, x) == _class_by_products(G, x), x
+
+
+# The pair orbit carries (yx)^-1 and (xy)^-1 along the walk; it must
+# give the orbit of the brute-force search and raise at the same caps.
+
+_CAP_FLEET = {"sym:5": 4, "sym:6": 2, "sym:7": 1, "alt:5": 4, "sl2:5": 4, "sl2:7": 3,
+              "psl2:7": 4, "psl2:11": 2, "ab2:5": 4, "ab2:7": 4, "dih:8": 4, "dic:6": 4,
+              "h4:sl2:3": 2}
+
+
+@pytest.mark.parametrize("desc", sorted(_CAP_FLEET))
+def test_it_orbit_caps_against_brute_force(desc):
+    G = _fleet_group(desc)
+    elements = sorted(generated_subgroup(G, G.generators), key=repr)
+    rng = random.Random("caps:" + desc)
+    for _ in range(_CAP_FLEET[desc]):
+        pair = (rng.choice(elements), rng.choice(elements))
+        want = _it_orbit(G, pair)
+        assert it_orbit(G, pair, cap=len(want)) == want
+        for cap in (len(want) - 1, len(want) // 6):
+            with pytest.raises(CapacityExceeded) as exc:
+                it_orbit(G, pair, cap=cap)
+            assert (exc.value.what, exc.value.cap) == ("pair orbit", cap)
+
+
+# The SL/PSL case solver skips a lift pair whose trace triple differs
+# from that of (a, c).  Copied here as it was before that screen.
+
+
+def _unscreened_linear_solver(lifts, G, a, c, u, v) -> CaseSolution:
+    p = G.p
+    dets = (mdet(x, p) for su in lifts(u) for sv in lifts(v)
+            for x in gl2_conjugators(p, a, su, c, sv))
+    labels: set = set()
+    for det in dets:
+        labels.add("sl" if is_square(p, det) else "slw")
+        if len(labels) == 2:
+            break
+    return CaseSolution(frozenset(labels), True)
+
+
+def _screen_against_unscreened(lifts, G, a, c, u, v) -> tuple:
+    """Asserts that no lift pair the screen rejects is solvable and that
+    the screened solve is the unscreened one; returns the numbers of lift
+    pairs rejected and of solves with a label."""
+    p = G.p
+
+    def traces(x, y):
+        return mtrace(x, p), mtrace(y, p), mtrace(mmul(x, y, p), p)
+
+    rejected = 0
+    for su in lifts(u):
+        for sv in lifts(v):
+            if traces(su, sv) != traces(a, c):
+                rejected += 1
+                assert not list(gl2_conjugators(p, a, su, c, sv)), (a, c, su, sv)
+    got = _linear_solver(lifts, G, a, c, u, v)
+    assert got == _unscreened_linear_solver(lifts, G, a, c, u, v), (a, c, u, v)
+    return rejected, bool(got.labels)
+
+
+@pytest.mark.parametrize("desc", ["sl2:7", "psl2:7", "psl2:11"])
+def test_trace_screen_against_unscreened_solver(desc):
+    G = group_from_descriptor(parse_descriptor(desc))
+    p, lifts = G.p, _lifts(G)
+    rng = random.Random("trace-screen:" + desc)
+    pairs = _case_table_pairs(G, rng, 40)
+    elements = sorted(generated_subgroup(G, G.generators), key=repr)
+    tally = Counter()
+    for a, c in pairs:
+        # A GL(2,p) matrix of random determinant, square or not.
+        x = mmul((rng.randrange(1, p), 0, 0, 1), rng.choice(elements), p)
+        xi = minv(x, p)
+        targets = [case_targets(G, i, *onto) for i in range(6)
+                   for onto in ((a, c), rng.choice(pairs))]
+        targets.append(tuple(G.project(mmul(mmul(x, y, p), xi, p)) for y in (a, c)))
+        targets.append((rng.choice(elements), rng.choice(elements)))
+        for u, v in targets:
+            rejected, solved = _screen_against_unscreened(lifts, G, a, c, u, v)
+            tally["rejected"] += rejected
+            tally["solved"] += solved
+    assert tally["rejected"] > 0 and tally["solved"] > 0, tally
+
+
+def test_trace_screen_on_psl2_7_case_tables(monkeypatch):
+    G = PSL2Group(7)
+    calls = []
+
+    def recording(lifts, G, a, c, u, v):
+        calls.append((lifts, a, c, u, v))
+        return _linear_solver(lifts, G, a, c, u, v)
+
+    monkeypatch.setattr(reality, "_linear_solver", recording)
+    for v in enumerate_unmixed(G, limit=200).structures:
+        reality_unmixed(G, v)
+    tally = Counter()
+    for lifts, a, c, u, v in calls:
+        rejected, solved = _screen_against_unscreened(lifts, G, a, c, u, v)
+        tally["rejected"] += rejected
+        tally["solved"] += solved
+    assert tally["rejected"] > 0 and tally["solved"] > 0, tally
+
+
+# The inner-only solver sweeps a list of the elements made at most once
+# per backend.  Copied here as it was, taking the closure for every case.
+
+
+def _closure_per_case_inner_solver(G, a, c, u, v) -> CaseSolution:
+    if G.order <= reality._INNER_CAP:
+        for g in generated_subgroup(G, G.generators, cap=reality._INNER_CAP):
+            if conjugate(G, a, g) == u and conjugate(G, c, g) == v:
+                return CaseSolution(frozenset(["inner"]), False)
+    return CaseSolution(frozenset(), False)
+
+
+@pytest.mark.parametrize("desc", ["prod(cyc:5,cyc:5)", "dih:8"])
+def test_inner_solver_lists_elements_once(desc, monkeypatch):
+    G = group_from_descriptor(parse_descriptor(desc))
+    rng = random.Random("inner:" + desc)
+    if desc == "dih:8":  # no Beauville structure: seeded quadruples
+        elements = sorted(generated_subgroup(G, G.generators), key=repr)
+        structures = [UnmixedStructure(G, *(rng.choice(elements) for _ in range(4)))
+                      for _ in range(40)]
+    else:
+        idx = IndexedGroup(G)
+        structures = rng.sample([idx.structure(q) for q in
+                                 islice(_structure_stream(idx, SearchConstraints()), 2000)], 40)
+    closures = []
+    real_closure = reality.generated_subgroup
+
+    def counting(*args, **kwargs):
+        closures.append(args)
+        return real_closure(*args, **kwargs)
+
+    monkeypatch.setattr(reality, "generated_subgroup", counting)
+    got = []
+    for v in structures:
+        before = len(closures)
+        got.append(reality_unmixed(G, v).to_json())
+        assert len(closures) - before <= 1
+    assert closures
+    monkeypatch.setattr(reality, "backend_for",
+                        lambda G: AutBackend(_closure_per_case_inner_solver, None))
+    assert got == [reality_unmixed(G, v).to_json() for v in structures]
+    labelled = sum(bool(entry["labels"]) for verdict in got for table in verdict["cases"]
+                   for entry in table.values())
+    # Inner automorphisms fix every pair of the abelian group: no case is solved there.
+    assert (labelled > 0) == (desc == "dih:8"), labelled
