@@ -17,12 +17,13 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
+from operator import itemgetter
 
 from .core import (
     CapacityExceeded,
     Group,
     PreconditionError,
-    generated_subgroup,
+    orbit,
 )
 from .constructions import (
     CATALOGUE_DISCLAIMER,
@@ -39,24 +40,33 @@ DEFAULT_ENUM_CAP = 2500
 
 
 class IndexedGroup:
-    """Integer-indexed view of a small group for tight search loops."""
+    """Integer-indexed view of a small group for tight search loops.
+
+    The constructor takes one closure of the generators and keeps each
+    generator's row; every other table is built on its first read."""
 
     def __init__(self, ctx: Group):
         if ctx.order > DEFAULT_ENUM_CAP:
             raise CapacityExceeded("group indexing", DEFAULT_ENUM_CAP)
         self.ctx = ctx
-        self.elems = sorted(generated_subgroup(ctx, ctx.generators, cap=DEFAULT_ENUM_CAP),
+        mul = ctx.mul
+        gens = list(dict.fromkeys(ctx.generators))
+        products = {}  # x -> [g*x for g in gens], recorded as the closure walks
+
+        def images(x):
+            products[x] = row = [mul(g, x) for g in gens]
+            return row
+
+        self.elems = sorted(orbit([ctx.identity], images, DEFAULT_ENUM_CAP, "subgroup closure"),
                             key=repr)
-        self.index = {e: i for i, e in enumerate(self.elems)}
+        self.index = idx = {e: i for i, e in enumerate(self.elems)}
         n = len(self.elems)
         if n != ctx.order:
             raise PreconditionError("generator closure does not match the stated order")
-        self.id_index = self.index[ctx.identity]
-        self.mul_row = self._regular_rows()
-        self.power_ids = [self._power_elements(i) for i in range(n)]
-        # power_ids[i] = (e, x, ..., x^(k-1)) holds the order k and the inverse.
-        self.order_of = [len(p) for p in self.power_ids]
-        self.inv = [p[-1] for p in self.power_ids]
+        self.id_index = idx[ctx.identity]
+        # gen_rows[g][y] = id of g*y, per generator id in generator order.
+        self.gen_rows = {idx[g]: [idx[products[y][k]] for y in self.elems]
+                         for k, g in enumerate(gens)}
         # Subgroups that refuted a pair in ``generates``: their sizes in
         # bit order, each element's mask of the subgroups holding it, and
         # per target size the mask of the kept subgroups below it.
@@ -64,36 +74,51 @@ class IndexedGroup:
         self._refuted_masks = [0] * n
         self._refuted_below: dict = {}
 
-    def _regular_rows(self):
+    @cached_property
+    def mul_row(self):
         """Rows of the left regular representation, row[x][y] = id of xy.
 
-        Only the generators' rows take ``ctx.mul``; every other row is
+        The generators' rows come from the closure; every other row is
         composed as row[x*g] = row[x] o row[g] along one breadth-first
-        search over right multiplication by the generators."""
-        mul, idx, elems = self.ctx.mul, self.index, self.elems
-        gens = {}  # id -> row, in generator order without repeats
-        for g in self.ctx.generators:
-            gens.setdefault(idx[g], [idx[mul(g, y)] for y in elems])
-        n = len(elems)
+        search over right multiplication by the generators, with no
+        ``ctx.mul`` call."""
+        n = len(self.elems)
         rows = [None] * n
         rows[self.id_index] = list(range(n))
         queue = deque([self.id_index])
+        # itemgetter(*row[g]) reads row[x] at row[g]'s entries in one C call.
+        composers = [(g, itemgetter(*rg)) for g, rg in self.gen_rows.items()]
         while queue:
             rx = rows[queue.popleft()]
-            for g, rg in gens.items():
+            for g, compose in composers:
                 y = rx[g]
                 if rows[y] is None:
-                    rows[y] = [rx[k] for k in rg]
+                    rows[y] = list(compose(rx))
                     queue.append(y)
         return rows
+
+    @cached_property
+    def power_ids(self):
+        """power_ids[i] = (e, x, ..., x^(k-1)): it holds the order k and
+        the inverse."""
+        return [self._power_elements(i) for i in range(len(self.elems))]
+
+    @cached_property
+    def order_of(self):
+        return [len(p) for p in self.power_ids]
+
+    @cached_property
+    def inv(self):
+        return [p[-1] for p in self.power_ids]
 
     @cached_property
     def class_id(self):
         """Conjugacy class of each id; classes are numbered in the order of
         their least id, so a class's first member is its least."""
         n = len(self.elems)
+        rows, inv = self.mul_row, self.inv
+        conjers = [(rg, inv[g]) for g, rg in self.gen_rows.items()]
         # Inline, not orbit(): a callback per node made IndexedGroup(SL(2,7)) 77 -> 93 ms.
-        gen_ids = [self.index[g] for g in self.ctx.generators]
         class_id = [-1] * n
         next_id = 0
         for i in range(n):
@@ -103,8 +128,8 @@ class IndexedGroup:
             class_id[i] = next_id
             while queue:
                 x = queue.popleft()
-                for g in gen_ids:
-                    y = self.mul_row[self.mul_row[g][x]][self.inv[g]]
+                for rg, gi in conjers:
+                    y = rows[rg[x]][gi]
                     if class_id[y] < 0:
                         class_id[y] = next_id
                         queue.append(y)
@@ -240,8 +265,8 @@ class _Bucket:
         return self.size
 
     def __iter__(self):
-        # A full bucket is read as the list it is; the stream re-reads
-        # buckets once per partner fingerprint and per pair.
+        # A full bucket is read as the list it is; the stream reads a
+        # bucket again per wanted type until one read reaches its end.
         if len(self.prefix) == self.size:
             return iter(self.prefix)
         return self._read()
@@ -290,7 +315,10 @@ def _fingerprint_buckets(idx: IndexedGroup) -> dict:
     that give it, and tests the first such pair.  Conjugating by an
     element that takes i to r keeps the key, so every member of the class
     has as many pairs per key, and each bucket's size is known before any
-    pair is built.  Buckets are ``_Bucket`` sequences that fill lazily.
+    pair is built.  The test reads each class's order, and the
+    fingerprint ORs each class's power classes as a bit mask; a mask
+    becomes its frozenset once, at the end.  Buckets are ``_Bucket``
+    sequences that fill lazily.
     """
     n = len(idx.elems)
     e = idx.id_index
@@ -298,10 +326,12 @@ def _fingerprint_buckets(idx: IndexedGroup) -> dict:
     members = idx.class_members
     classes = len(members)
     scaled = [c * classes for c in cid]
+    order = [idx.order_of[cls[0]] for cls in members]
     pc = idx.power_classes
-    keys_of: dict = {}  # fingerprint -> {class of i: set of keys}
+    power_mask = [sum(1 << b for b in pc[cls[0]]) for cls in members]
+    keys_of: dict = {}  # fingerprint mask -> {class of i: set of keys}
     size_of: dict = {}
-    first_of: dict = {}  # fingerprint -> its first pair
+    first_of: dict = {}  # fingerprint mask -> its first pair
     for c, cls in enumerate(members):
         r = cls[0]
         if r == e:
@@ -312,15 +342,20 @@ def _fingerprint_buckets(idx: IndexedGroup) -> dict:
         # The last assignment wins, so each key keeps its least j.
         first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
         del counts[keys[e]], first[keys[e]]  # j = e is its key's only j
+        a, mask = order[c], power_mask[c]
         for k, j in first.items():
-            if not idx.hyperbolic(r, j):
+            cj, cij = divmod(k, classes)
+            s, t = order[cj], order[cij]
+            # 1/a + 1/s + 1/t < 1
+            if s * t + a * (s + t) >= a * s * t:
                 continue
-            fp = pc[r] | pc[j] | pc[row[j]]
+            fp = mask | power_mask[cj] | power_mask[cij]
             keys_of.setdefault(fp, {}).setdefault(c, set()).add(k)
             size_of[fp] = size_of.get(fp, 0) + len(cls) * counts[k]
             if fp not in first_of or (r, j) < first_of[fp]:
                 first_of[fp] = (r, j)
-    return {fp: _Bucket(idx, keys_of[fp], size_of[fp])
+    return {frozenset(b for b in range(classes) if fp >> b & 1):
+            _Bucket(idx, keys_of[fp], size_of[fp])
             for fp in sorted(first_of, key=first_of.get)}
 
 
@@ -346,11 +381,19 @@ def _structure_stream(idx: IndexedGroup, constraints: SearchConstraints,
 
     fps = sorted(by_fp, key=sorted)
     gen_cache: dict = {}
+    # (fingerprint, wanted types) -> its generating pairs, kept once a
+    # reader has checked the whole bucket; later readers iterate the list.
+    checked: dict = {}
 
     def fits(pair, want_type):
         return want_type is None or type_of(*pair) == want_type
 
     def generating_pairs(fp, want_types):
+        done = checked.get((fp, want_types))
+        return iter(done) if done is not None else check(fp, want_types)
+
+    def check(fp, want_types):
+        found = []
         for (i, j) in by_fp[fp]:
             if want_types is not None and type_of(i, j) not in want_types:
                 continue
@@ -361,7 +404,9 @@ def _structure_stream(idx: IndexedGroup, constraints: SearchConstraints,
                 ok = idx.generates(i, j)
                 gen_cache[key] = ok
             if ok:
+                found.append((i, j))
                 yield (i, j)
+        checked[(fp, want_types)] = found
 
     # (fingerprint, wanted type) -> whether its bucket has a generating
     # pair; a combination with no (type1, type2) match in either order
@@ -564,21 +609,24 @@ def _scan_group_mixed(G: Group) -> list:
     idx = IndexedGroup(G)
     n = len(idx.elems)
     e = idx.id_index
+    mul, elems, index = G.mul, idx.elems, idx.index
     hits = []
     for H_set in _index2_subgroups(idx):
         outside = [x for x in range(n) if x not in H_set]
-        Q = frozenset(idx.mul_row[x][x] for x in outside)
+        Q = frozenset(index[mul(elems[x], elems[x])] for x in outside)
         if e in Q:
             continue  # split extension: squares outside hit the identity
+        # Only a non-split subgroup reads the tables.
+        rows = idx.mul_row
         g0 = outside[0]
-        conj_g = [idx.mul_row[idx.mul_row[g0][x]][idx.inv[g0]] for x in range(n)]
+        conj_g = [rows[rows[g0][x]][idx.inv[g0]] for x in range(n)]
         ok_elements = [
-            i for i in H_set
+            i for i in sorted(H_set)
             if i != e and not (set(idx.power_ids[i]) & Q)
         ]
         ok_set = set(ok_elements)
         for i in ok_elements:
-            row = idx.mul_row[i]
+            row = rows[i]
             for j in ok_elements:
                 k = row[j]
                 if k not in ok_set and k != e:
@@ -593,7 +641,7 @@ def _scan_group_mixed(G: Group) -> list:
                 conj_sigma = frozenset(conj_g[x] for x in sigma)
                 if (sigma & conj_sigma) != {e}:
                     continue
-                hits.append((idx.elems[i], idx.elems[j]))
+                hits.append((elems[i], elems[j]))
                 return hits
     return hits
 
@@ -601,20 +649,21 @@ def _scan_group_mixed(G: Group) -> list:
 def _index2_subgroups(idx: IndexedGroup) -> list:
     """Index-2 subgroups, as the kernels of the homomorphisms onto Z/2: a
     nonzero sign on the generators extends to one exactly when the walk of
-    the Cayley graph setting sign(x*g) = sign(x) xor sign(g) never conflicts."""
+    the Cayley graph setting sign(g*x) = sign(g) xor sign(x) never
+    conflicts.  The walk reads only the generators' rows."""
     e = idx.id_index
-    gens = [g for g in dict.fromkeys(idx.index[g] for g in idx.ctx.generators) if g != e]
+    gens = [row for g, row in idx.gen_rows.items() if g != e]
     out = []
     for vector in range(1, 1 << len(gens)):
-        edges = [(g, (vector >> b) & 1) for b, g in enumerate(gens)]
+        edges = [(row, (vector >> b) & 1) for b, row in enumerate(gens)]
         sign = [-1] * len(idx.elems)
         sign[e] = 0
         queue = deque([e])
         extends = True
         while queue and extends:
             x = queue.popleft()
-            for g, s in edges:
-                y = idx.mul_row[x][g]
+            for row, s in edges:
+                y = row[x]
                 if sign[y] < 0:
                     sign[y] = sign[x] ^ s
                     queue.append(y)

@@ -19,7 +19,8 @@ the refuted-subgroup memo of ``IndexedGroup.generates``, the lazy
 class-keyed fingerprint buckets, the per-class power fingerprints, the
 id-ordered enumeration and the sign-map index-2 subgroups are checked
 against the plain builds they replaced, and the structure stream on lazy
-buckets against the stream fed the eager ones.  Pair orbits and
+buckets against the stream fed the eager ones and against the stream
+that checked a bucket's pairs again for every outer pair.  Pair orbits and
 keyed structure orbits are checked against breadth-first searches that
 apply every generator of the equivalence group at every point, and the
 swap route of the unmixed reality verdict against key-orbit membership.
@@ -48,7 +49,7 @@ import math
 import random
 from collections import Counter, deque
 from functools import cache, lru_cache, partial
-from itertools import islice
+from itertools import islice, zip_longest
 
 import pytest
 
@@ -916,8 +917,15 @@ def test_mixed_scan_sigma_step_against_naive(monkeypatch):
             ("coset-squares", True), ("conjugate-sigma-intersection", False)], (a, c)
 
 
-@pytest.mark.parametrize("desc", ["sym:5", "sl2:5", "psl2:7", "ab2:5", "psl2:11", "dih:12",
-                                  "prod(dic:3,cyc:5)"])
+# The scans' whole domain: the unmixed scan's catalogue and the
+# quotients of the wallpaper scan.
+_FINGERPRINT_FLEET = list(dict.fromkeys(
+    ["sym:5", "sl2:5", "psl2:7", "ab2:5", "psl2:11", "dih:12", "prod(dic:3,cyc:5)"]
+    + [format_descriptor(d) for d in catalogue(72)]
+    + [f"wallpaper:{d}:{m}" for d, m in ((3, 4), (3, 5), (4, 3), (4, 4), (6, 3))]))
+
+
+@pytest.mark.parametrize("desc", _FINGERPRINT_FLEET)
 def test_class_keyed_fingerprints_against_pairs(desc):
     idx = IndexedGroup(group_from_descriptor(parse_descriptor(desc)))
     got = _fingerprint_buckets(idx)
@@ -984,6 +992,125 @@ def test_first_structure_fills_few_buckets():
     assert sum(len(b) for b in by_fp.values()) == 403482
     assert next(_structure_stream(idx, SearchConstraints(), by_fp)) is not None
     assert 100 * sum(len(b.prefix) for b in by_fp.values()) < 403482
+
+
+# The stream that re-ran each bucket's generation checks for every pair
+# of the outer fingerprint, as it stood before the checked pairs were kept.
+def _structure_stream_rechecked(idx: IndexedGroup, constraints: SearchConstraints,
+                                by_fp: dict | None = None):
+    """Yield unmixed structures as id quadruples (i1, j1, i2, j2), in
+    deterministic order; ``idx.structure`` builds the structure of one.
+
+    Pairs are pruned by the hyperbolicity bound before any sigma work;
+    sigma sets are compared as conjugacy-class fingerprints, and
+    generation is certified only for pairs participating in a
+    disjoint-fingerprint combination.  ``by_fp`` is the output of
+    ``_fingerprint_buckets``; by default every hyperbolic pair is kept,
+    so the stream is exhaustive.
+    """
+    if by_fp is None:
+        by_fp = _fingerprint_buckets(idx)
+    id_class = {idx.class_id[idx.id_index]}
+    type1, type2 = constraints.type1, constraints.type2
+
+    def type_of(i, j):
+        return (idx.order_of[i], idx.order_of[j], idx.order_of[idx.mul_row[i][j]])
+
+    fps = sorted(by_fp, key=sorted)
+    gen_cache: dict = {}
+
+    def fits(pair, want_type):
+        return want_type is None or type_of(*pair) == want_type
+
+    def generating_pairs(fp, want_types):
+        for (i, j) in by_fp[fp]:
+            if want_types is not None and type_of(i, j) not in want_types:
+                continue
+            # (i, j) and (j, i) generate one subgroup and share a bucket.
+            key = (i, j) if i < j else (j, i)
+            ok = gen_cache.get(key)
+            if ok is None:
+                ok = idx.generates(i, j)
+                gen_cache[key] = ok
+            if ok:
+                yield (i, j)
+
+    # (fingerprint, wanted type) -> whether its bucket has a generating
+    # pair; a combination with no (type1, type2) match in either order
+    # yields nothing, so it is skipped without walking its buckets.
+    nonempty: dict = {}
+
+    def has_generating(fp, want_type):
+        key = (fp, want_type)
+        if key not in nonempty:
+            wanted = None if want_type is None else (want_type,)
+            nonempty[key] = next(generating_pairs(fp, wanted), None) is not None
+        return nonempty[key]
+
+    # Pairs of either fingerprint may take either place of the structure.
+    both = None if type1 is None or type2 is None else (type1, type2)
+    # A fingerprint holds the identity class and another, so it is never
+    # disjoint from itself.
+    for x, f1 in enumerate(fps):
+        for f2 in fps[x + 1:]:
+            if (f1 & f2) != id_class:
+                continue
+            if not (has_generating(f1, type1) and has_generating(f2, type2)
+                    or has_generating(f2, type1) and has_generating(f1, type2)):
+                continue
+            for p in generating_pairs(f1, both):
+                for q in generating_pairs(f2, both):
+                    for (p1, p2) in ((p, q), (q, p)):
+                        if fits(p1, type1) and fits(p2, type2):
+                            yield p1 + p2
+
+
+def _type_filters(G):
+    """The types of the first structure of the stream, or of the first
+    pairs of the first and last buckets when the group has none."""
+    idx = IndexedGroup(G)
+
+    def type_of(i, j):
+        return (idx.order_of[i], idx.order_of[j], idx.order_of[idx.mul_row[i][j]])
+
+    q = next(_structure_stream(idx, SearchConstraints()), None)
+    if q is not None:
+        return type_of(*q[:2]), type_of(*q[2:])
+    buckets = list(_fingerprint_buckets(idx).values())
+    return type_of(*next(iter(buckets[0]))), type_of(*next(iter(buckets[-1])))
+
+
+def _buckets(G, cut):
+    idx = IndexedGroup(G)
+    by_fp = _fingerprint_buckets(idx)
+    if cut:  # as hunt_reality cuts them, before any fill
+        for b in by_fp.values():
+            b.size = min(b.size, 16)
+    return idx, by_fp
+
+
+@pytest.mark.parametrize("desc", ["sym:5", "alt:5", "sl2:5", "psl2:7", "ab2:5", "dih:12",
+                                  "prod(dic:3,cyc:5)"])
+def test_stream_against_rechecking_stream(desc):
+    # Each side on its own fresh index and buckets, so that neither reads
+    # what the other filled.  PSL(2,7)'s uncut streams hold 225,792
+    # (type1 given) to 6,547,968 (unfiltered) quadruples; read without a
+    # limit, they are compared over their first 100,000.
+    G = group_from_descriptor(parse_descriptor(desc))
+    t1, t2 = _type_filters(G)
+    for constraints in (SearchConstraints(), SearchConstraints(t1, None),
+                        SearchConstraints(None, t2), SearchConstraints(t1, t2)):
+        for cut in (False, True):
+            for limit in (1, 7, None):
+                stop = 100_000 if desc == "psl2:7" and limit is None and not cut else limit
+                idx, by_fp = _buckets(G, cut)
+                got = islice(_structure_stream(idx, constraints, by_fp), stop)
+                idx, by_fp = _buckets(G, cut)
+                want = islice(_structure_stream_rechecked(idx, constraints, by_fp), stop)
+                n = 0
+                for x, y in zip_longest(got, want):
+                    assert x == y, (constraints, cut, limit, n)
+                    n += 1
 
 
 @pytest.mark.parametrize("d,m", [(3, 2), (3, 3), (4, 2), (4, 3), (6, 2)])

@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 from beauville import search
-from beauville.constructions import Abelian2, dihedral
-from beauville.core import PreconditionError
+from beauville.constructions import Abelian2, catalogue, dihedral, group_from_descriptor
+from beauville.core import CapacityExceeded, PreconditionError
 from beauville.matgroups import PSL2Group, SL2Group
 from beauville.perms import AlternatingGroup, SymmetricGroup
 from beauville.search import (
@@ -243,8 +243,66 @@ def test_class_tables_are_built_on_first_read(monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(search, "IndexedGroup", Recording)
-    assert scan_catalogue(24, "mixed")["groups_scanned"] > 0
+    assert scan_catalogue(64, "mixed")["groups_scanned"] > 0
     assert built and not any(tables & vars(idx).keys() for idx in built)
+    # A group whose index-2 subgroups all split is refused before any
+    # table is built; the split test reads squares with ctx.mul.
+    split_only = 0
+    for idx in built:
+        mul, index, e = idx.ctx.mul, idx.index, idx.id_index
+        splits = all(
+            any(index[mul(x, x)] == e for k, x in enumerate(idx.elems) if k not in H)
+            for H in search._index2_subgroups(idx))
+        read = {"mul_row", "power_ids"} & vars(idx).keys()
+        assert read == (set() if splits else {"mul_row", "power_ids"}), idx.ctx.descriptor()
+        split_only += splits
+    assert 0 < split_only < len(built)
+
+
+def test_mixed_scan_witnesses_in_id_order(monkeypatch):
+    # The first witness of a subgroup H is the first in id order: the
+    # pairs (i, j) reach generates(i, j, within=H) with i never decreasing.
+    calls = []
+
+    class Recording(IndexedGroup):
+        def generates(self, i, j, within=None):
+            calls.append((self, within, i))
+            return super().generates(i, j, within)
+
+    monkeypatch.setattr(search, "IndexedGroup", Recording)
+    assert scan_catalogue(64, "mixed")["found"] == []
+    assert len(calls) == 942
+    for (idx0, H0, i0), (idx1, H1, i1) in zip(calls, calls[1:]):
+        if idx0 is idx1 and H0 is H1:
+            assert i0 <= i1, idx1.ctx.descriptor()
+
+
+def test_index2_subgroups_do_not_depend_on_the_table():
+    # The sign walk reads the generators' rows only, on a fresh index or
+    # after the full table was built.
+    for desc in catalogue(64):
+        G = group_from_descriptor(desc)
+        with_table = IndexedGroup(G)
+        assert with_table.mul_row
+        fresh = IndexedGroup(G)
+        assert search._index2_subgroups(fresh) == search._index2_subgroups(with_table), desc
+        assert "mul_row" not in vars(fresh)
+
+
+def test_indexed_group_error_paths():
+    with pytest.raises(CapacityExceeded) as exc:
+        IndexedGroup(SymmetricGroup(7))
+    assert (exc.value.what, exc.value.cap) == ("group indexing", DEFAULT_ENUM_CAP)
+
+    class Understated(SymmetricGroup):
+        order = 12
+
+    with pytest.raises(PreconditionError):
+        IndexedGroup(Understated(4))
+    # A closure past the cap stops there, whatever the stated order.
+    with pytest.raises(CapacityExceeded) as exc:
+        IndexedGroup(Understated(7))
+    assert (exc.value.what, exc.value.cap) == ("subgroup closure", DEFAULT_ENUM_CAP)
 
 
 def test_scan_catalogue_unmixed_small():
