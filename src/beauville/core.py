@@ -52,6 +52,8 @@ class Group:
     conjugacy rule implements ``class_label(x)``: a hashable label, equal
     for two elements exactly when they are conjugate; sigma-set
     disjointness then compares labels instead of searching classes.
+    ``power_labels(x)`` is the set of labels of the powers of x; the
+    default labels each power, and S_n and A_n read it off the cycle type.
     ``conjugation(g)`` is the map x -> g x g^-1 as one callable, with
     g^-1 computed once; a backend overrides it with a fused product.
     Contexts are immutable after construction; all operations are pure.
@@ -101,6 +103,15 @@ class Group:
             base = self.mul(base, base)
             k >>= 1
         return acc
+
+    def power_labels(self, x) -> set:
+        """The ``class_label`` of every power of x, the identity's included."""
+        label, e = self.class_label, self.identity
+        out, acc = {label(e)}, x
+        while acc != e:
+            out.add(label(acc))
+            acc = self.mul(acc, x)
+        return out
 
     def element_order(self, g) -> int:
         """Smallest k >= 1 with g^k = 1; direct iteration capped at |G|."""

@@ -64,6 +64,31 @@ def cycle_type(p: tuple) -> tuple:
     return tuple(sorted(len(c) for c in cycles_of(p)))
 
 
+def _divisors(m: int) -> list:
+    """The divisors of m >= 1, by trial division."""
+    out, q = [1], 2
+    while m > 1:
+        if q * q > m:
+            q = m
+        e = 0
+        while m % q == 0:
+            m //= q
+            e += 1
+        out = [d * q**i for d in out for i in range(e + 1)]
+        q += 1
+    return out
+
+
+def _power_parts(lengths: list, d: int) -> list:
+    """Cycle lengths of x^d from those of x: an L-cycle splits into
+    gcd(L, d) cycles of length L / gcd(L, d)."""
+    out = []
+    for length in lengths:
+        g = math.gcd(length, d)
+        out += [length // g] * g
+    return sorted(out)
+
+
 def perm_order(p: tuple) -> int:
     return math.lcm(*(len(c) for c in cycles_of(p)), 1)
 
@@ -514,6 +539,22 @@ class SymmetricGroup(PermGroup):
         """Conjugate in S_n iff of equal cycle type."""
         return cycle_type(x)
 
+    def power_labels(self, x) -> set:
+        """x^k has the cycle type of x^d, d = gcd(ord x, k): one label
+        per divisor d of ord x, with no power formed."""
+        lengths = [len(c) for c in cycles_of(x)]
+        return {tuple(k for k in _power_parts(lengths, d) if k > 1)
+                for d in _divisors(math.lcm(*lengths, 1))}
+
+
+def _alt_label(cycles: list) -> tuple:
+    """The A_n class label of the element with these cycles, 1-cycles included."""
+    cycles = sorted(cycles, key=len)
+    parts = tuple(len(c) for c in cycles)
+    if len(set(parts)) < len(parts) or not all(k % 2 for k in parts):
+        return parts
+    return parts, parity(tuple(point for c in cycles for point in c))
+
 
 class AlternatingGroup(PermGroup):
     kind = "alt"
@@ -544,8 +585,24 @@ class AlternatingGroup(PermGroup):
         cycles run over consecutive points.  That conjugator lists the
         cycles of x by length.
         """
-        cycles = sorted(cycles_of(x, include_fixed=True), key=len)
-        parts = tuple(len(c) for c in cycles)
-        if len(set(parts)) < len(parts) or not all(k % 2 for k in parts):
-            return parts
-        return parts, parity(tuple(point for c in cycles for point in c))
+        return _alt_label(cycles_of(x, include_fixed=True))
+
+    def power_labels(self, x) -> set:
+        """The labels of the x^d, d dividing ord x, as on S_n, 1-cycles
+        included, plus the other half of a split class of x.
+
+        For d > 1 some cycle splits into equal parts, so only d = 1 can
+        give a split class.  A unit k gives x^k = s x s^-1, where s
+        multiplies by k along each cycle and so has sign (k / prod parts),
+        a Jacobi symbol (Zolotarev's lemma).  Both halves occur iff that
+        character is nontrivial, i.e. prod parts is not a square.
+        """
+        cycles = cycles_of(x, include_fixed=True)
+        lengths = [len(c) for c in cycles]
+        own = _alt_label(cycles)
+        out = {tuple(_power_parts(lengths, d)) for d in _divisors(math.lcm(*lengths)) if d > 1}
+        out.add(own)
+        prod = math.prod(lengths)
+        if isinstance(own[0], tuple) and math.isqrt(prod) ** 2 != prod:
+            out.add((own[0], 1 - own[1]))
+        return out

@@ -87,17 +87,20 @@ def genus(G: Group, a, c) -> int:
 # -- sigma sets -------------------------------------------------------------
 
 
+def _nontrivial_powers(G: Group, x) -> list:
+    """x, x^2, ... up to the last power before the identity."""
+    out, acc = [], x
+    while acc != G.identity:
+        out.append(acc)
+        acc = G.mul(acc, x)
+    return out
+
+
 def _powers(G: Group, a, c) -> list:
     """The powers of a, c and ac; their conjugacy classes make up the sigma set."""
     G.check_element(a)
     G.check_element(c)
-    out = [G.identity]
-    for x in (a, c, G.mul(a, c)):
-        acc = x
-        while acc != G.identity:
-            out.append(acc)
-            acc = G.mul(acc, x)
-    return out
+    return [G.identity] + [y for x in (a, c, G.mul(a, c)) for y in _nontrivial_powers(G, x)]
 
 
 def sigma_set(G: Group, a, c, class_cap: int = DEFAULT_CLASS_CAP) -> frozenset:
@@ -218,17 +221,24 @@ def _intersection_exact(G: Group, p1, p2, class_cap):
     """(disjoint, witness) for the sigma sets of two pairs.
 
     With ``class_label`` the sets meet outside the identity iff a power
-    of the first pair carries the label of a nontrivial power of the
-    second; the least such power by ``repr`` is the witness.  Other
-    backends intersect the class-search sets, capped at ``class_cap``.
+    of a1, c1 or a1c1 carries the label of a nontrivial power of a2, c2
+    or a2c2, which ``power_labels`` decides per word.  Only a word whose
+    labels meet is walked power by power, for the witness: the least
+    such power by ``repr``.  Other backends intersect the class-search
+    sets, capped at ``class_cap``.
     """
     label = getattr(G, "class_label", None)
     if label is None:
         common = sigma_set(G, *p1, class_cap) & sigma_set(G, *p2, class_cap)
         extra = common - {G.identity}
     else:
-        theirs = {label(y) for y in _powers(G, *p2)} - {label(G.identity)}
-        extra = [y for y in _powers(G, *p1) if label(y) in theirs]
+        for x in (*p2, *p1):
+            G.check_element(x)
+        (a1, c1), (a2, c2) = p1, p2
+        theirs = set().union(*map(G.power_labels, (a2, c2, G.mul(a2, c2))))
+        theirs.discard(label(G.identity))
+        extra = [y for x in (a1, c1, G.mul(a1, c1)) if not G.power_labels(x).isdisjoint(theirs)
+                 for y in _nontrivial_powers(G, x) if label(y) in theirs]
     if not extra:
         return True, None
     return False, min(extra, key=repr)
@@ -240,17 +250,19 @@ def _require_sigma_strategy(strategy: str) -> None:
 
 
 def try_sigma_disjoint(G: Group, p1, p2, strategy: str = "auto",
-                       class_cap: int = DEFAULT_CLASS_CAP):
+                       class_cap: int = DEFAULT_CLASS_CAP, *, _metrics=None):
     """(verdict, strategy, witness): verdict None means inconclusive.
 
     ``auto`` runs cheapest-first: coprimality of the nu values is a
     sufficient criterion ("coprime-nu"), then the exact test decides
     everything it can afford ("exact").  ``coprime`` and ``exact`` run
-    one rung each.
+    one rung each.  ``check_unmixed`` hands in the ``pair_metrics`` of
+    both pairs, which it has already computed, as ``_metrics``.
     """
     _require_sigma_strategy(strategy)
     if strategy != "exact":
-        if math.gcd(pair_metrics(G, *p1).nu, pair_metrics(G, *p2).nu) == 1:
+        m1, m2 = _metrics or (pair_metrics(G, *p1), pair_metrics(G, *p2))
+        if math.gcd(m1.nu, m2.nu) == 1:
             return True, "coprime-nu", None
         if strategy == "coprime":
             return None, "coprime-nu", None
@@ -288,7 +300,8 @@ def check_unmixed(G: Group, v: UnmixedStructure, strategy: str = "auto",
     if any(c.ok is False for c in report.conditions):
         return _settle(report)
     verdict, used, witness = try_sigma_disjoint(G, (v.a1, v.c1), (v.a2, v.c2),
-                                                strategy=strategy, class_cap=class_cap)
+                                                strategy=strategy, class_cap=class_cap,
+                                                _metrics=metrics)
     if verdict is None:
         detail = "all affordable strategies inconclusive"
     elif verdict:
