@@ -9,10 +9,12 @@ the API boundary is 1-based; ``format_cycles`` can also print 0-based.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import math
 import random
 import re
+from operator import itemgetter
 
 from .core import CapacityExceeded, Group, PreconditionError, orbit
 
@@ -25,8 +27,13 @@ def identity_perm(n: int) -> tuple:
 
 
 def pmul(p: tuple, q: tuple) -> tuple:
-    """Composition applying q first: (p*q)(x) = p(q(x))."""
-    return tuple([p[i] for i in q])
+    """Composition applying q first: (p*q)(x) = p(q(x)).
+
+    ``itemgetter(*q)`` reads p at q's entries in one C call; below degree
+    2 it would return a scalar or raise, so those take the list form."""
+    if len(q) < 2:
+        return tuple([p[i] for i in q])
+    return itemgetter(*q)(p)
 
 
 def pinv(p: tuple) -> tuple:
@@ -59,9 +66,28 @@ def cycles_of(p: tuple, include_fixed: bool = False) -> list:
     return out
 
 
+def _cycle_lengths(p: tuple) -> list:
+    """Lengths of the cycles of p with two or more points, in the order
+    of ``cycles_of``, with no cycle built."""
+    seen = [False] * len(p)
+    out = []
+    for i in range(len(p)):
+        if seen[i]:
+            continue
+        seen[i] = True
+        j, k = p[i], 1
+        while j != i:
+            seen[j] = True
+            j = p[j]
+            k += 1
+        if k > 1:
+            out.append(k)
+    return out
+
+
 def cycle_type(p: tuple) -> tuple:
     """Sorted tuple of cycle lengths >= 2; identity has type ()."""
-    return tuple(sorted(len(c) for c in cycles_of(p)))
+    return tuple(sorted(_cycle_lengths(p)))
 
 
 def _divisors(m: int) -> list:
@@ -90,12 +116,13 @@ def _power_parts(lengths: list, d: int) -> list:
 
 
 def perm_order(p: tuple) -> int:
-    return math.lcm(*(len(c) for c in cycles_of(p)), 1)
+    return math.lcm(*_cycle_lengths(p), 1)
 
 
 def parity(p: tuple) -> int:
     """0 for even, 1 for odd."""
-    return sum(len(c) - 1 for c in cycles_of(p)) % 2
+    lengths = _cycle_lengths(p)
+    return (sum(lengths) - len(lengths)) % 2
 
 
 _CYCLE_RE = re.compile(r"\(\s*(\d+(?:\s*,\s*\d+)*)?\s*\)")
@@ -288,9 +315,9 @@ def bsgs_order(gens: list) -> int:
 
 # -- known-order generation certificate: Jordan's theorem -----------------
 
-# Product replacement starts from a fixed seed, so one input always takes
-# one path.  The seed only decides how soon a Jordan element is found: no
-# answer rests on it.
+# Product replacement draws its choices from a fixed seed, once, into
+# ``_SCHEDULE``, so every input takes the same steps.  The seed only
+# decides how soon a Jordan element is found: no answer rests on it.
 _CERT_SEED = 2004
 _CERT_SLOTS = 10
 _CERT_BURN_IN = 40
@@ -302,24 +329,41 @@ _JORDAN_BEFORE_BLOCKS = 20
 _JORDAN_WALK = 200
 
 
-def _product_replacement(gens: list, rng: random.Random):
-    """Endless stream of elements of <gens> (product replacement with an
-    accumulator, after a burn-in)."""
-    state = [gens[i % len(gens)] for i in range(_CERT_SLOTS)]
-    acc = identity_perm(len(gens[0]))
-    step = 0
-    while True:
+def _draw_schedule() -> tuple:
+    """The (s, t, left) choice of each product-replacement step: slot s
+    becomes state[s] * state[t] if left, else state[t] * state[s].  The
+    burn-in, then one step per stream element, seeded by ``_CERT_SEED``."""
+    rng = random.Random(_CERT_SEED)
+    out = []
+    for _ in range(_CERT_BURN_IN + _JORDAN_WALK):
         s = rng.randrange(_CERT_SLOTS)
         t = rng.randrange(_CERT_SLOTS - 1)
         t += t >= s
-        if rng.random() < 0.5:
-            state[s] = pmul(state[s], state[t])
-        else:
-            state[s] = pmul(state[t], state[s])
+        out.append((s, t, rng.random() < 0.5))
+    return tuple(out)
+
+
+_SCHEDULE = _draw_schedule()
+
+
+def _product_replacement(gens: list):
+    """Stream of ``_JORDAN_WALK`` elements of <gens>: product replacement
+    with an accumulator on the steps of ``_SCHEDULE``, after a burn-in.
+    The walk reads at most ``_JORDAN_WALK - len(gens)`` of them."""
+    state = [gens[i % len(gens)] for i in range(_CERT_SLOTS)]
+    acc = identity_perm(len(gens[0]))
+    for step, (s, t, left) in enumerate(_SCHEDULE, 1 - _CERT_BURN_IN):
+        state[s] = pmul(state[s], state[t]) if left else pmul(state[t], state[s])
         acc = pmul(acc, state[s])
-        step += 1
-        if step > _CERT_BURN_IN:
+        if step > 0:
             yield acc
+
+
+@functools.cache
+def _jordan_primes(n: int) -> frozenset:
+    """The primes p <= n - 3, the cycle lengths Jordan's theorem accepts
+    on n points."""
+    return frozenset(p for p in range(2, n - 2) if all(p % d for d in range(2, math.isqrt(p) + 1)))
 
 
 def _jordan_element(x: tuple, least: int) -> bool:
@@ -329,9 +373,9 @@ def _jordan_element(x: tuple, least: int) -> bool:
     The power of x by the lcm of its other cycle lengths is then a
     p-cycle.  For p > n/2 no second cycle can have a length p divides.
     """
-    lengths = cycle_type(x)
-    return any(least <= p <= len(x) - 3 and all(p % d for d in range(2, math.isqrt(p) + 1))
-               and sum(k % p == 0 for k in lengths) == 1
+    lengths = _cycle_lengths(x)
+    primes = _jordan_primes(len(x))
+    return any(least <= p and p in primes and sum(k % p == 0 for k in lengths) == 1
                for p in set(lengths))
 
 
@@ -380,7 +424,7 @@ def generates_known_order(gens: list, order: int) -> bool:
     * a point outside the orbit of 0 makes <gens> intransitive, hence a
       proper subgroup (False);
     * an element among the first ``_JORDAN_BEFORE_BLOCKS`` of the walk
-      (``gens``, then the seeded product-replacement stream) with a power
+      (``gens``, then the scheduled product-replacement stream) with a power
       that is a p-cycle, n/2 < p <= n - 3, decides by Jordan's theorem;
     * a block system (``_imprimitive``, Atkinson 1975) makes <gens>
       imprimitive, hence a proper subgroup (False);
@@ -394,7 +438,7 @@ def generates_known_order(gens: list, order: int) -> bool:
     n = len(gens[0])
     if len(orbit([0], lambda x: [g[x] for g in gens], n, "point orbit")) < n:
         return False
-    walk = itertools.chain(gens, _product_replacement(gens, random.Random(_CERT_SEED)))
+    walk = itertools.chain(gens, _product_replacement(gens))
     giant = any(_jordan_element(x, n // 2 + 1)
                 for x in itertools.islice(walk, _JORDAN_BEFORE_BLOCKS))
     if not giant:
@@ -497,8 +541,13 @@ class PermGroup(Group):
         return pinv(x)
 
     def conjugation(self, g):
+        """x -> g x g^-1, read as g at x at g^-1's entries: each read is
+        one ``itemgetter`` call, as in ``pmul``."""
         gi = pinv(g)
-        return lambda x: tuple([g[x[j]] for j in gi])
+        if len(gi) < 2:
+            return lambda x: tuple([g[x[j]] for j in gi])
+        read = itemgetter(*gi)
+        return lambda x: itemgetter(*read(x))(g)
 
     @property
     def generators(self):
@@ -542,7 +591,7 @@ class SymmetricGroup(PermGroup):
     def power_labels(self, x) -> set:
         """x^k has the cycle type of x^d, d = gcd(ord x, k): one label
         per divisor d of ord x, with no power formed."""
-        lengths = [len(c) for c in cycles_of(x)]
+        lengths = _cycle_lengths(x)
         return {tuple(k for k in _power_parts(lengths, d) if k > 1)
                 for d in _divisors(math.lcm(*lengths, 1))}
 

@@ -8,10 +8,12 @@ chain ``bsgs_order`` and against closure, which know nothing of either,
 and the trace triple against the orbit-stabilizer walk on vectors that
 it replaced, with every branch of Dickson's list reached.  The Jordan
 element is sought in vain over primitive proper groups and found early
-on seeded giant pairs.  The block test that refutes imprimitive pairs is
-checked against Higman's criterion on orbital graphs.  Class
-labels, and the sigma test built on them, are checked against the
-conjugacy-class search.  The
+on seeded giant pairs, and its prime test is checked against trial
+division; the walk it is sought in, on choices drawn once, is checked
+against the walk that drew them per call.  The block test
+that refutes imprimitive pairs is checked against Higman's criterion on
+orbital graphs.  Class labels, and the sigma test built on them, are
+checked against the conjugacy-class search.  The
 unmixed catalogue scan is checked against a brute force that uses
 neither the indexed tables nor fingerprint buckets.  The composed
 multiplication tables, the inverses and orders read off the power walk,
@@ -571,6 +573,69 @@ def test_jordan_certificate_on_seeded_giant_pairs(n, fallbacks, monkeypatch):
         assert calls[-1] and len(calls) - 1 <= 100, (a, c)
         assert not generates_known_order([a, c], symmetric if giant < symmetric else giant // 2)
     assert fallbacks == []
+
+
+def _jordan_element_by_trial_division(x, least):
+    """``perms._jordan_element`` as it was before the per-degree prime
+    set: each distinct cycle length tested for primality by trial
+    division."""
+    lengths = [len(c) for c in perms.cycles_of(x)]
+    return any(least <= p <= len(x) - 3 and all(p % d for d in range(2, math.isqrt(p) + 1))
+               and sum(k % p == 0 for k in lengths) == 1
+               for p in set(lengths))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 11, 16, 24, 40])
+def test_jordan_element_matches_trial_division(n):
+    # Every element of S_5 to S_7, where p = n - 3 is 2, 3 and then not
+    # prime, and seeded elements beyond, at both bounds the walk uses.
+    if n <= 7:
+        elements = list(SymmetricGroup(n).elements())
+    else:
+        rng = random.Random(f"jordan:{n}")
+        elements = [tuple(rng.sample(range(n), n)) for _ in range(300)]
+    for least in (2, n // 2 + 1):
+        assert ([perms._jordan_element(x, least) for x in elements]
+                == [_jordan_element_by_trial_division(x, least) for x in elements])
+
+
+def _walk_drawn_per_call(gens, rng):
+    """The product-replacement stream as it was before the schedule: each
+    step's (s, t, left) choice drawn from ``rng`` as the step is taken,
+    and products composed by list comprehension."""
+    def compose(p, q):
+        return tuple([p[i] for i in q])
+
+    state = [gens[i % len(gens)] for i in range(perms._CERT_SLOTS)]
+    acc = tuple(range(len(gens[0])))
+    step = 0
+    while True:
+        s = rng.randrange(perms._CERT_SLOTS)
+        t = rng.randrange(perms._CERT_SLOTS - 1)
+        t += t >= s
+        if rng.random() < 0.5:
+            state[s] = compose(state[s], state[t])
+        else:
+            state[s] = compose(state[t], state[s])
+        acc = compose(acc, state[s])
+        step += 1
+        if step > perms._CERT_BURN_IN:
+            yield acc
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [5, 8, 11, 16, 24, 40])
+def test_scheduled_walk_is_the_walk_drawn_per_call(n, k):
+    # The schedule is drawn once from the certificate's seed; the stream
+    # it drives is the one each call used to draw for itself, element by
+    # element over the whole walk, which reads at most _JORDAN_WALK - k.
+    rng = random.Random(f"walk:{n}:{k}")
+    for _ in range(5):
+        gens = [tuple(rng.sample(range(n), n)) for _ in range(k)]
+        scheduled = list(perms._product_replacement(gens))
+        reference = list(islice(_walk_drawn_per_call(gens, random.Random(perms._CERT_SEED)),
+                                perms._JORDAN_WALK))
+        assert scheduled == reference
 
 
 def test_large_positives_without_closure_or_fallback(fallbacks, block_tests, no_closure):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,6 +14,7 @@ from beauville.perms import (
     conjugator_search,
     cycle_to_perm,
     cycle_type,
+    cycles_of,
     format_cycles,
     identity_perm,
     parity,
@@ -291,3 +293,41 @@ def test_symmetric_generates_pair():
                              parse_cycles("(1,2,3,4,5,6,7,8)", 8))
     assert not S8.generates_pair(parse_cycles("(1,2)", 8),
                                  parse_cycles("(3,4)", 8))
+
+
+# -- kernels against their plain definitions ---------------------------------
+# ``pmul`` and ``PermGroup.conjugation`` read through ``itemgetter``, with a
+# list form below degree 2; the cycle-length queries skip building cycles.
+
+
+def _kernel_cases():
+    """Every pair of S_4, seeded pairs of degrees 3 to 40, and the
+    degrees 0, 1 and 2 that the list form serves."""
+    s4 = list(itertools.permutations(range(4)))
+    cases = [(p, q) for p in s4 for q in s4]
+    rng = random.Random(40)
+    for n in (3, 5, 8, 11, 16, 24, 40):
+        cases += [(_random_perm(rng, n), _random_perm(rng, n)) for _ in range(30)]
+    cases += [(identity_perm(0), identity_perm(0))]
+    cases += [(p, q) for n in (1, 2) for p in SymmetricGroup(n).elements()
+              for q in SymmetricGroup(n).elements()]
+    return cases
+
+
+def test_pmul_and_conjugation_match_list_definitions():
+    for p, q in _kernel_cases():
+        assert pmul(p, q) == tuple([p[i] for i in q])
+        assert type(pmul(p, q)) is tuple
+        if p:
+            conj = SymmetricGroup(len(p)).conjugation(p)(q)
+            assert conj == tuple([p[q[j]] for j in pinv(p)])
+            assert type(conj) is tuple
+
+
+def test_cycle_queries_match_cycles_of():
+    for p, _ in _kernel_cases():
+        lengths = [len(c) for c in cycles_of(p)]
+        assert perms._cycle_lengths(p) == lengths
+        assert cycle_type(p) == tuple(sorted(lengths))
+        assert perm_order(p) == math.lcm(*lengths, 1)
+        assert parity(p) == sum(k - 1 for k in lengths) % 2
