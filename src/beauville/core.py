@@ -52,8 +52,13 @@ class Group:
     conjugacy rule implements ``class_label(x)``: a hashable label, equal
     for two elements exactly when they are conjugate; sigma-set
     disjointness then compares labels instead of searching classes.
-    ``power_labels(x)`` is the set of labels of the powers of x; the
-    default labels each power, and S_n and A_n read it off the cycle type.
+    ``power_labels(x)`` is the set of labels of the powers of x, and
+    ``matching_powers(x, labels)`` the nontrivial powers of x whose label
+    is in ``labels``; the defaults walk the powers, and S_n and A_n read
+    both off the cycle type.  ``prime_labels(x)`` labels the elements of
+    prime order in <x>; two sigma sets whose words have disjoint prime
+    labels are disjoint.  The default label is the order; S_n and A_n
+    add the number of cycles, which makes the test exact there.
     ``conjugation(g)`` is the map x -> g x g^-1 as one callable, with
     g^-1 computed once; a backend overrides it with a fused product.
     Contexts are immutable after construction; all operations are pure.
@@ -113,6 +118,22 @@ class Group:
             acc = self.mul(acc, x)
         return out
 
+    def matching_powers(self, x, labels) -> list:
+        """The powers x^k, 0 < k < ord x, whose ``class_label`` is in
+        ``labels``, in order of k: one walk of the powers."""
+        label, e = self.class_label, self.identity
+        out, acc = [], x
+        while acc != e:
+            if label(acc) in labels:
+                out.append(acc)
+            acc = self.mul(acc, x)
+        return out
+
+    def prime_labels(self, x) -> set:
+        """The orders of the elements of prime order in <x>: the primes
+        dividing ord x."""
+        return set(prime_divisors(self.element_order(x)))
+
     def element_order(self, g) -> int:
         """Smallest k >= 1 with g^k = 1; direct iteration capped at |G|."""
         cap = self.order
@@ -148,6 +169,18 @@ class Group:
 
 
 # -- operations ---------------------------------------------------------
+
+
+def prime_divisors(m: int) -> list:
+    """The primes dividing m >= 1, increasing, by trial division."""
+    out, q = [], 2
+    while q * q <= m:
+        if m % q == 0:
+            out.append(q)
+            while m % q == 0:
+                m //= q
+        q += 1
+    return out + [m] if m > 1 else out
 
 
 def element_order(G: Group, g) -> int:

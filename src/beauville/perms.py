@@ -16,7 +16,7 @@ import random
 import re
 from operator import itemgetter
 
-from .core import CapacityExceeded, Group, PreconditionError, orbit
+from .core import CapacityExceeded, Group, PreconditionError, orbit, prime_divisors
 
 # Most orbit maps ``conjugator_search`` places before it gives up.
 DEFAULT_CONJUGATOR_CAP = 10**6
@@ -90,8 +90,10 @@ def cycle_type(p: tuple) -> tuple:
     return tuple(sorted(_cycle_lengths(p)))
 
 
-def _divisors(m: int) -> list:
-    """The divisors of m >= 1, by trial division."""
+@functools.lru_cache(maxsize=1024)
+def _divisors(m: int) -> tuple:
+    """The divisors of an element order m >= 1, by trial division; the
+    labels of every power of an element read them."""
     out, q = [1], 2
     while m > 1:
         if q * q > m:
@@ -102,17 +104,44 @@ def _divisors(m: int) -> list:
             e += 1
         out = [d * q**i for d in out for i in range(e + 1)]
         q += 1
+    return tuple(out)
+
+
+def _power_types(lengths: list, m: int) -> dict:
+    """The lengths >= 2 of the cycles of x^d, sorted, for each divisor d
+    of m = ord x, from the cycle lengths of x: an L-cycle splits into
+    gcd(L, d) cycles of length L / gcd(L, d)."""
+    gcd, out = math.gcd, {}
+    for d in _divisors(m):
+        parts = []
+        for length in lengths:
+            g = gcd(length, d)
+            if g < length:
+                parts += [length // g] * g
+        parts.sort()
+        out[d] = tuple(parts)
     return out
 
 
-def _power_parts(lengths: list, d: int) -> list:
-    """Cycle lengths of x^d from those of x: an L-cycle splits into
-    gcd(L, d) cycles of length L / gcd(L, d)."""
-    out = []
-    for length in lengths:
-        g = math.gcd(length, d)
-        out += [length // g] * g
-    return sorted(out)
+@functools.cache
+def _length_primes(length: int) -> tuple:
+    """The primes dividing a cycle length, factored once per length."""
+    return tuple(prime_divisors(length))
+
+
+def _jacobi(k: int, n: int) -> int:
+    """The Jacobi symbol (k / n) for odd n > 0 prime to k."""
+    k, out = k % n, 1
+    while k:
+        while k % 2 == 0:
+            k //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        k, n = n, k
+        if k % 4 == 3 and n % 4 == 3:
+            out = -out
+        k %= n
+    return out
 
 
 def perm_order(p: tuple) -> int:
@@ -556,6 +585,48 @@ class PermGroup(Group):
     def element_order(self, g) -> int:
         return perm_order(g)
 
+    def prime_labels(self, x) -> set:
+        """(q, k) for each prime q dividing m = ord x, with no power formed.
+
+        The elements of order q in <x> are the powers of x^(m/q).  It
+        splits each L-cycle of x with L not dividing m/q, those with
+        v_q(L) = v_q(m), into L/q cycles of length q and fixes the rest:
+        its cycle type is q^k.  Elements of prime order are conjugate in
+        S_n iff their (q, k) agree, and <x^(m/q)> meets both halves of a
+        split A_n class (see ``AlternatingGroup.power_labels``), so two
+        words on either group share a label iff their powers share a class.
+        """
+        lengths = _cycle_lengths(x)
+        m = math.lcm(*lengths, 1)
+        return {(q, sum(length for length in lengths if (m // q) % length) // q)
+                for q in {q for length in lengths for q in _length_primes(length)}}
+
+    def matching_powers(self, x, labels) -> list:
+        """The powers x^k, 0 < k < ord x, whose ``class_label`` is in
+        ``labels``, in order of k.
+
+        x^k has the label of x^d, d = gcd(k, ord x).  In a split A_n class
+        a unit k instead moves x to the other half iff the Jacobi symbol
+        (k / product of the parts) is -1.  So no power is labelled; the
+        walk x^(k+1) = x^k * x is one ``itemgetter`` call a step.
+        """
+        m, by_divisor, prod = self._divisor_labels(x)
+        hits = {d for d, label in by_divisor.items() if label in labels}
+        halves = set()
+        if prod is not None:
+            hits.discard(1)
+            parts, half = by_divisor[1]
+            halves = {h for h in (half, 1 - half) if (parts, h) in labels}
+        if not (hits or halves):
+            return []
+        step, out, acc = itemgetter(*x), [], x
+        for k in range(1, m):
+            d = math.gcd(k, m)
+            if d in hits or (d == 1 and halves and (half ^ (_jacobi(k, prod) < 0)) in halves):
+                out.append(acc)
+            acc = step(acc)
+        return out
+
     def descriptor(self) -> dict:
         return {"kind": self.kind, "n": self.n}
 
@@ -588,12 +659,17 @@ class SymmetricGroup(PermGroup):
         """Conjugate in S_n iff of equal cycle type."""
         return cycle_type(x)
 
+    def _divisor_labels(self, x) -> tuple:
+        """(ord x, the label of x^d for each divisor d of ord x, None);
+        no class of S_n splits."""
+        lengths = _cycle_lengths(x)
+        m = math.lcm(*lengths, 1)
+        return m, _power_types(lengths, m), None
+
     def power_labels(self, x) -> set:
         """x^k has the cycle type of x^d, d = gcd(ord x, k): one label
         per divisor d of ord x, with no power formed."""
-        lengths = _cycle_lengths(x)
-        return {tuple(k for k in _power_parts(lengths, d) if k > 1)
-                for d in _divisors(math.lcm(*lengths, 1))}
+        return set(self._divisor_labels(x)[1].values())
 
 
 def _alt_label(cycles: list) -> tuple:
@@ -636,22 +712,34 @@ class AlternatingGroup(PermGroup):
         """
         return _alt_label(cycles_of(x, include_fixed=True))
 
+    def _divisor_labels(self, x) -> tuple:
+        """(ord x, the label of x^d for each divisor d of ord x, the
+        product of the parts if the class of x splits, else None).
+
+        A class splits iff its parts, 1-cycles included, are distinct and
+        odd.  For d > 1 some cycle splits into equal parts, so only d = 1
+        can give a split class; its label is that of x.
+        """
+        n, lengths = self.n, _cycle_lengths(x)
+        m = math.lcm(*lengths, 1)
+        by_divisor = {d: (1,) * (n - sum(t)) + t for d, t in _power_types(lengths, m).items()}
+        if n - sum(lengths) > 1 or len(set(lengths)) < len(lengths) or not all(k % 2 for k in lengths):
+            return m, by_divisor, None
+        by_divisor[1] = self.class_label(x)
+        return m, by_divisor, math.prod(lengths)
+
     def power_labels(self, x) -> set:
         """The labels of the x^d, d dividing ord x, as on S_n, 1-cycles
         included, plus the other half of a split class of x.
 
-        For d > 1 some cycle splits into equal parts, so only d = 1 can
-        give a split class.  A unit k gives x^k = s x s^-1, where s
-        multiplies by k along each cycle and so has sign (k / prod parts),
-        a Jacobi symbol (Zolotarev's lemma).  Both halves occur iff that
-        character is nontrivial, i.e. prod parts is not a square.
+        A unit k gives x^k = s x s^-1, where s multiplies by k along each
+        cycle and so has sign (k / prod parts), a Jacobi symbol
+        (Zolotarev's lemma).  Both halves occur iff that character is
+        nontrivial, i.e. prod parts is not a square.
         """
-        cycles = cycles_of(x, include_fixed=True)
-        lengths = [len(c) for c in cycles]
-        own = _alt_label(cycles)
-        out = {tuple(_power_parts(lengths, d)) for d in _divisors(math.lcm(*lengths)) if d > 1}
-        out.add(own)
-        prod = math.prod(lengths)
-        if isinstance(own[0], tuple) and math.isqrt(prod) ** 2 != prod:
-            out.add((own[0], 1 - own[1]))
+        _, by_divisor, prod = self._divisor_labels(x)
+        out = set(by_divisor.values())
+        if prod is not None and math.isqrt(prod) ** 2 != prod:
+            parts, half = by_divisor[1]
+            out.add((parts, 1 - half))
         return out

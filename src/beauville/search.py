@@ -444,7 +444,8 @@ def enumerate_unmixed(G: Group, constraints: SearchConstraints | None = None,
     ordered by the repr of their 4-tuples.
 
     Ids are assigned in repr order and element reprs are self-delimiting,
-    so sorting the id quadruples gives that order without any repr."""
+    so sorting the id quadruples gives that order without any repr.  They
+    are sorted as the integers with digits i1, j1, i2, j2 in base |G|."""
     t0 = time.monotonic()
     if limit is not None and limit < 1:
         raise PreconditionError("limit must be at least 1")
@@ -459,7 +460,8 @@ def enumerate_unmixed(G: Group, constraints: SearchConstraints | None = None,
     if constraints.up_to_orbit:
         structures = orbit_representatives(G, [idx.structure(q) for q in quads])
     else:
-        quads.sort()
+        n = len(idx.elems)
+        quads.sort(key=lambda q: ((q[0] * n + q[1]) * n + q[2]) * n + q[3])
         structures = [idx.structure(q) for q in quads]
 
     report = _report(G, "enumerate-unmixed", t0,

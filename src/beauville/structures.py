@@ -5,6 +5,26 @@ conjugates of the cyclic groups generated by a, c and ac), genus of the
 associated covering curve, and the unmixed/mixed verdict machinery with
 its strategy ladder (order coprimality, then an exact test: class labels
 where the backend has them, conjugacy-class sets elsewhere).
+
+Sigma sets meet on prime-order classes.  A sigma set is a union of
+conjugacy classes and is closed under powers.  So if z != 1 lies in two
+of them, so does z^(m/q) for m = ord z and a prime q | m: the two meet
+outside 1 iff they share an element of prime order.  On S_n the
+elements of order q in <x>, m = ord x, are the powers of x^(m/q); each
+has the cycle type q^k, with k the sum of L/q over the cycles of length
+L with v_q(L) = v_q(m), i.e. L not dividing m/q.  Elements of prime
+order are conjugate iff their (q, k) agree, so the sets are disjoint
+iff the words of the two pairs share no (q, k), read off the cycle
+lengths (``prime_labels``).  The same holds on A_n.  Its split classes
+have distinct odd parts, 1-cycles included, so a split class of order
+q is a q-cycle with q = n or n - 1.  The q - 1 generators x^(jm/q) of
+<x^(m/q)> are conjugate to x^(m/q) under an element of S_n of sign
+(j / q) (Zolotarev's lemma), and that Legendre symbol takes both signs:
+<x^(m/q)> meets both halves.  So two words with the same (q, k) share
+an A_n class as well.  A failure's witness is the least by ``repr`` of
+the ``matching_powers`` of a1, c1 and a1c1; on S_n and A_n x^k has the
+label of x^gcd(k, ord x), or in a split class a half picked by a Jacobi
+symbol, so no power is labelled there either.
 """
 
 from __future__ import annotations
@@ -133,13 +153,22 @@ def sigma_naive(G: Group, a, c, elements) -> frozenset:
 # -- structures and reports -------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class UnmixedStructure:
     group: Group
     a1: object
     c1: object
     a2: object
     c2: object
+
+    def __init__(self, group: Group, a1, c1, a2, c2):
+        # One slot write per field, where the generated __init__ of a frozen
+        # dataclass pays one object.__setattr__; searches build thousands.
+        _set_group(self, group)
+        _set_a1(self, a1)
+        _set_c1(self, c1)
+        _set_a2(self, a2)
+        _set_c2(self, c2)
 
     def pairs(self):
         return ((self.a1, self.c1), (self.a2, self.c2))
@@ -148,6 +177,10 @@ class UnmixedStructure:
         inv = self.group.inv
         return UnmixedStructure(self.group, inv(self.a1), inv(self.c1),
                                 inv(self.a2), inv(self.c2))
+
+
+_set_group, _set_a1, _set_c1, _set_a2, _set_c2 = (
+    UnmixedStructure.__dict__[name].__set__ for name in ("group", "a1", "c1", "a2", "c2"))
 
 
 @dataclass(frozen=True)
@@ -220,28 +253,50 @@ def _settle(report: CheckReport):
 def _intersection_exact(G: Group, p1, p2, class_cap):
     """(disjoint, witness) for the sigma sets of two pairs.
 
-    With ``class_label`` the sets meet outside the identity iff a power
-    of a1, c1 or a1c1 carries the label of a nontrivial power of a2, c2
-    or a2c2, which ``power_labels`` decides per word.  Only a word whose
-    labels meet is walked power by power, for the witness: the least
-    such power by ``repr``.  Other backends intersect the class-search
-    sets, capped at ``class_cap``.
+    With ``class_label``, each sigma set is a union of classes closed
+    under powers, so two of them meet outside the identity only if they
+    share an element of prime order.  Words whose ``prime_labels`` are
+    disjoint therefore give disjoint sets, with no power formed.  Else
+    the witness is the least by ``repr`` of the ``matching_powers`` of
+    a1, c1 and a1c1: their nontrivial powers that carry the label of a
+    power of a2, c2 or a2c2.  If there are none, the sets are disjoint
+    after all; on S_n and A_n, where prime labels are exact, there always
+    are.  Other backends intersect the class-search sets, capped at
+    ``class_cap``.
     """
     label = getattr(G, "class_label", None)
     if label is None:
         common = sigma_set(G, *p1, class_cap) & sigma_set(G, *p2, class_cap)
         extra = common - {G.identity}
-    else:
-        for x in (*p2, *p1):
-            G.check_element(x)
-        (a1, c1), (a2, c2) = p1, p2
-        theirs = set().union(*map(G.power_labels, (a2, c2, G.mul(a2, c2))))
-        theirs.discard(label(G.identity))
-        extra = [y for x in (a1, c1, G.mul(a1, c1)) if not G.power_labels(x).isdisjoint(theirs)
-                 for y in _nontrivial_powers(G, x) if label(y) in theirs]
-    if not extra:
+        return (False, min(extra, key=repr)) if extra else (True, None)
+    for x in (*p2, *p1):
+        G.check_element(x)
+    (a1, c1), (a2, c2) = p1, p2
+    ours, theirs = (a1, c1, G.mul(a1, c1)), (a2, c2, G.mul(a2, c2))
+    if set().union(*map(G.prime_labels, ours)).isdisjoint(
+            set().union(*map(G.prime_labels, theirs))):
         return True, None
-    return False, min(extra, key=repr)
+    labels = set().union(*map(G.power_labels, theirs))
+    labels.discard(label(G.identity))
+    extra = [y for x in ours for y in G.matching_powers(x, labels)]
+    return (False, _least_by_repr(extra)) if extra else (True, None)
+
+
+def _least_by_repr(elements: list):
+    """``min(elements, key=repr)`` for tuples of ints of one length, the
+    elements of every backend with ``class_label``.
+
+    Such reprs compare as the tuples of the entries' decimal strings,
+    since the separators ", " and ")" sort below every digit.  So the
+    least is found entry by entry, from one str per surviving element.
+    """
+    for i in range(len(elements[0])):
+        if len(elements) == 1:
+            break
+        tokens = [str(y[i]) for y in elements]
+        least = min(tokens)
+        elements = [y for y, token in zip(elements, tokens) if token == least]
+    return elements[0]
 
 
 def _require_sigma_strategy(strategy: str) -> None:

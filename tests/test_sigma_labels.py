@@ -2,10 +2,14 @@
 
 ``power_labels`` on S_n and A_n reads the labels of all powers of x off
 its cycle type: one label per divisor of ord x, plus the other A_n half
-of a split class when a Jacobi symbol says it occurs.  It is checked
-against the labels of the explicit powers.  The exact sigma test built
-on it is checked, verdict and witness, against the test that labelled
-every power of a, c and ac on both sides, which is copied here.
+of a split class when a Jacobi symbol says it occurs.  ``prime_labels``
+reads the cycle type q^k of every element of prime order q in <x>, and
+``matching_powers`` the powers whose label is in a given set.  Each is
+checked against the explicit powers.  The exact sigma test built on
+them is checked, verdict and witness, against the test that labelled
+every power of a, c and ac on both sides, and against the previous
+test, which decided from the power labels of every word; both are
+copied here.
 """
 
 import json
@@ -19,7 +23,16 @@ from beauville import structures
 from beauville.core import MalformedElementError
 from beauville.gallery import alt_reality_structure, sym_structure
 from beauville.literals import structure_from_json
-from beauville.perms import AlternatingGroup, SymmetricGroup, cycle_to_perm, pmul
+from beauville.matgroups import PSL2Group, SL2Group
+from beauville.perms import (
+    AlternatingGroup,
+    SymmetricGroup,
+    _jacobi,
+    cycle_to_perm,
+    cycles_of,
+    perm_order,
+    pmul,
+)
 from beauville.structures import UnmixedStructure, check_unmixed, try_sigma_disjoint
 
 BASE = Path(__file__).resolve().parents[1] / "perfbench" / "base.json"
@@ -87,6 +100,115 @@ def test_a5_five_cycle_and_its_square_lie_in_different_halves():
     G = AlternatingGroup(5)
     x = _with_parts(5, (5,))
     assert G.class_label(x) != G.class_label(G.mul(x, x))
+
+
+# -- prime labels and matching powers against the explicit powers ---------------
+
+
+def _explicit_powers(G, x) -> list:
+    """x, x^2, ..., up to the last power before the identity."""
+    out, acc = [], x
+    while acc != G.identity:
+        out.append(acc)
+        acc = G.mul(acc, x)
+    return out
+
+
+def _check_prime_and_matching(G, x, other):
+    """``prime_labels(x)`` is the (q, number of cycles) of each power of x
+    of prime order q.  ``matching_powers(x, labels)`` keeps the powers
+    whose label is in labels: tried with all labels of x, its class
+    alone, the other half of a split class alone, and the nontrivial
+    power labels of another element."""
+    powers = _explicit_powers(G, x)
+    labels = [G.class_label(y) for y in powers]
+    primes = set()
+    for y in powers:
+        q = perm_order(y)
+        if all(q % d for d in range(2, q)):
+            primes.add((q, len(cycles_of(y))))
+    assert G.prime_labels(x) == primes, x
+    own = G.class_label(x)
+    tries = [set(labels), {own}, _explicit_labels(G, other) - {G.class_label(G.identity)}]
+    if G.kind == "alt" and isinstance(own[0], tuple):
+        tries.append({(own[0], 1 - own[1])})
+    for wanted in tries:
+        want = [y for y, label in zip(powers, labels) if label in wanted]
+        assert G.matching_powers(x, wanted) == want, (x, wanted)
+
+
+def _explicit_matches(G, x, labels) -> list:
+    return [y for y in _explicit_powers(G, x) if G.class_label(y) in labels]
+
+
+@pytest.mark.parametrize("G", SMALL, ids=lambda G: f"{G.kind}{G.n}")
+def test_prime_labels_and_matching_powers_on_every_element(G):
+    rng = random.Random(G.n)
+    elements = sorted(G.elements())
+    for x in elements:
+        _check_prime_and_matching(G, x, rng.choice(elements))
+
+
+@pytest.mark.parametrize("n, parts", [(5, (5,)), (7, (7,)), (8, (1, 7)), (8, (3, 5)), (9, (1, 3, 5))])
+def test_matching_powers_picks_the_half_of_each_unit_power(n, parts):
+    # The split 5- and 7-cycles of A_5, A_7 and A_8, and two split classes
+    # with more than one cycle: each half alone matches exactly the unit
+    # powers that lie in it.
+    G = AlternatingGroup(n)
+    x = _with_parts(n, parts)
+    own = G.class_label(x)
+    assert isinstance(own[0], tuple)
+    for half in (own, (own[0], 1 - own[1])):
+        got = G.matching_powers(x, {half})
+        assert got == _explicit_matches(G, x, {half})
+        assert got
+    _check_prime_and_matching(G, x, x)
+
+
+@pytest.mark.parametrize("n", [16, 24, 40])
+@pytest.mark.parametrize("kind", [SymmetricGroup, AlternatingGroup])
+def test_prime_labels_and_matching_powers_on_seeded_elements(kind, n):
+    G, rng = kind(n), random.Random(100 + n)
+    for _ in range(40):
+        _check_prime_and_matching(G, _random_element(G, rng), _random_element(G, rng))
+    for _ in range(20):
+        _check_prime_and_matching(G, _cycle(G, rng), _random_element(G, rng))
+
+
+@pytest.mark.parametrize("G", [SL2Group(5), SL2Group(7), PSL2Group(7), PSL2Group(11)],
+                         ids=lambda G: f"{G.kind}{G.p}")
+def test_default_prime_labels_and_matching_powers_on_every_element(G):
+    # The defaults, which SL(2,p) and PSL(2,p) use: the prime orders in
+    # <x>, and one labelled walk.
+    elements = sorted(G.elements())
+    rng = random.Random(G.p)
+    for x in elements:
+        powers = _explicit_powers(G, x)
+        orders = {G.element_order(y) for y in powers}
+        assert G.prime_labels(x) == {q for q in orders if all(q % d for d in range(2, q))}
+        wanted = _explicit_labels(G, rng.choice(elements)) - {G.class_label(G.identity)}
+        assert G.matching_powers(x, wanted) == [y for y in powers if G.class_label(y) in wanted]
+
+
+def test_jacobi_symbol_is_the_sign_of_multiplication():
+    # Zolotarev's lemma as the A_n labels use it: i -> k i on Z/n has
+    # sign (k / n) for odd n.
+    for n in range(1, 46, 2):
+        for k in range(1, n + 1):
+            if math.gcd(k, n) == 1:
+                perm = tuple(k * i % n for i in range(n))
+                lengths = [len(c) for c in cycles_of(perm, include_fixed=True)]
+                sign = (-1) ** (n - len(lengths))
+                assert _jacobi(k, n) == sign, (k, n)
+
+
+def test_least_by_repr_is_min_by_repr():
+    rng = random.Random(7)
+    for length in (1, 2, 4, 9):
+        for _ in range(300):
+            items = [tuple(rng.choice([rng.randrange(12), rng.randrange(200), -rng.randrange(30)])
+                           for _ in range(length)) for _ in range(rng.randrange(1, 12))]
+            assert structures._least_by_repr(items) == min(items, key=repr), items
 
 
 # -- the exact sigma test against the all-powers test it replaced -------------
@@ -165,6 +287,97 @@ def test_exact_sigma_test_matches_all_powers_on_benchmark_templates(name, v):
     G, (p1, p2) = v.group, v.pairs()
     assert _assert_same(G, p1, p2) is name.startswith("check-")
     assert _assert_same(G, p2, p1) is name.startswith("check-")
+
+
+# -- the exact sigma test against the previous one, on every label backend ------
+
+
+def _previous_exact(G, p1, p2):
+    """The exact label test before prime labels: the labels of every
+    power of a2, c2 and a2c2, then the powers of each word of side 1
+    whose power labels meet them.  ``power_labels`` is replaced by the
+    labels of the explicit powers, which it equals (tests above)."""
+    label = G.class_label
+    for x in (*p2, *p1):
+        G.check_element(x)
+    (a1, c1), (a2, c2) = p1, p2
+    theirs = set().union(*(_explicit_labels(G, x) for x in (a2, c2, G.mul(a2, c2))))
+    theirs.discard(label(G.identity))
+    extra = [y for x in (a1, c1, G.mul(a1, c1)) if not _explicit_labels(G, x).isdisjoint(theirs)
+             for y in _explicit_powers(G, x) if label(y) in theirs]
+    return (not extra), "exact", (min(extra, key=repr) if extra else None)
+
+
+def _random_matrix(G, rng):
+    p = G.p
+    while True:
+        a, b, c = rng.randrange(p), rng.randrange(p), rng.randrange(p)
+        if a:
+            x = (a, b, c, (1 + b * c) * pow(a, -1, p) % p)
+            return G.project(x)
+
+
+def _seeded_pairs(G, rng, element, count=40):
+    """Random pairs, and single elements paired with the identity so that
+    both verdicts occur."""
+    for i in range(count):
+        if i % 2:
+            yield ((element(G, rng), element(G, rng)), (element(G, rng), element(G, rng)))
+        else:
+            yield (element(G, rng), G.identity), (element(G, rng), G.identity)
+
+
+def _agree_with_previous(G, pairs):
+    verdicts = set()
+    for p1, p2 in pairs:
+        got = try_sigma_disjoint(G, p1, p2, strategy="exact")
+        assert got == _previous_exact(G, p1, p2), (p1, p2)
+        verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+PERM_GROUPS = [kind(n) for kind, n in [(SymmetricGroup, 5), (SymmetricGroup, 9), (SymmetricGroup, 17),
+                                       (SymmetricGroup, 28), (SymmetricGroup, 40),
+                                       (AlternatingGroup, 5), (AlternatingGroup, 8),
+                                       (AlternatingGroup, 13), (AlternatingGroup, 24),
+                                       (AlternatingGroup, 40)]]
+
+
+@pytest.mark.parametrize("G", PERM_GROUPS, ids=lambda G: f"{G.kind}{G.n}")
+def test_exact_sigma_test_matches_previous_on_seeded_perm_pairs(G):
+    rng = random.Random(300 + G.n)
+    # Cycles make passing pairs; random elements make the failing ones.
+    _agree_with_previous(G, _seeded_pairs(G, rng, lambda G, rng: rng.choice(
+        [_cycle, _random_element])(G, rng)))
+
+
+@pytest.mark.parametrize("G", [kind(p) for kind in (SL2Group, PSL2Group) for p in (5, 7, 13, 31, 37)],
+                         ids=lambda G: f"{G.kind}{G.p}")
+def test_exact_sigma_test_matches_previous_on_seeded_matrix_pairs(G):
+    _agree_with_previous(G, _seeded_pairs(G, random.Random(400 + G.p), _random_matrix))
+
+
+@pytest.mark.parametrize("G", [SymmetricGroup(6), AlternatingGroup(7), SL2Group(13), PSL2Group(13)],
+                         ids=lambda G: f"{G.kind}{getattr(G, 'n', getattr(G, 'p', ''))}")
+def test_exact_sigma_test_reads_both_product_words(G):
+    # Pairs whose sets meet only through the product word of one side:
+    # z = a c shares no nontrivial power label with a or c.
+    rng, nontrivial = random.Random(11), lambda x: _explicit_labels(G, x) - {G.class_label(G.identity)}
+    element = _random_matrix if isinstance(G, (SL2Group, PSL2Group)) else _random_element
+    found = 0
+    for _ in range(2000):
+        a, c = element(G, rng), element(G, rng)
+        z = G.mul(a, c)
+        if z == G.identity or not nontrivial(z).isdisjoint(nontrivial(a) | nontrivial(c)):
+            continue
+        for p1, p2 in (((z, G.identity), (a, c)), ((a, c), (z, G.identity))):
+            got = try_sigma_disjoint(G, p1, p2, strategy="exact")
+            assert got == _previous_exact(G, p1, p2)
+            assert got[0] is False and G.class_label(got[2]) in nontrivial(z)
+        found += 1
+        if found == 5:
+            break
+    assert found == 5
 
 
 # -- inputs and metrics ---------------------------------------------------------

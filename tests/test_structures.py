@@ -270,3 +270,33 @@ def test_genus_inconsistency_guard():
     B = Broken(5)
     with pytest.raises(InconsistencyError):
         genus(B, (1, 0), (0, 1))
+
+
+def test_unmixed_structure_keeps_its_dataclass_behaviour():
+    # Its __init__ writes each slot directly; equality, hash, repr,
+    # fields, keywords, pickling and frozenness stay those of the frozen
+    # dataclass.
+    import dataclasses
+    import pickle
+
+    A = Abelian2(5)
+    v = UnmixedStructure(A, (1, 0), (0, 1), (1, 2), (3, 4))
+    w = UnmixedStructure(group=A, a1=(1, 0), c1=(0, 1), a2=(1, 2), c2=(3, 4))
+    assert v == w and hash(v) == hash(w) and len({v, w}) == 1
+    assert v != UnmixedStructure(A, (1, 0), (0, 1), (1, 2), (3, 0))
+    assert hash(v) == hash((A, (1, 0), (0, 1), (1, 2), (3, 4)))
+    assert repr(v) == f"UnmixedStructure(group={A!r}, a1=(1, 0), c1=(0, 1), a2=(1, 2), c2=(3, 4))"
+    assert [f.name for f in dataclasses.fields(v)] == ["group", "a1", "c1", "a2", "c2"]
+    assert dataclasses.astuple(v)[1:] == ((1, 0), (0, 1), (1, 2), (3, 4))
+    assert dataclasses.replace(v, c2=(3, 0)) == UnmixedStructure(A, (1, 0), (0, 1), (1, 2), (3, 0))
+    for name in ("group", "a1", "c2"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(v, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del v.a1
+    with pytest.raises(TypeError):
+        UnmixedStructure(A, (1, 0), (0, 1), (1, 2))
+    assert v.pairs() == (((1, 0), (0, 1)), ((1, 2), (3, 4)))
+    u = pickle.loads(pickle.dumps(v))  # groups compare by identity
+    assert u.pairs() == v.pairs() and u.group.descriptor() == A.descriptor()
+    assert v.inverted() == UnmixedStructure(A, (4, 0), (0, 4), (4, 3), (2, 1))
