@@ -19,10 +19,10 @@ with a shared outer-class condition.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import chain
 
 from .constructions import H4
 from .core import (
@@ -84,6 +84,30 @@ def iota_pair(G: Group, pair: tuple) -> tuple:
     return (G.inv(a), G.inv(c))
 
 
+def _class_table(start, maps: list, cap: int) -> tuple:
+    """The conjugacy class of ``start`` indexed under the conjugation
+    maps ``maps``: (elements, index, rows), the elements by id, the id
+    of each element, and ``rows[k][i]`` the id of ``maps[k]`` of element
+    i.  Raises CapacityExceeded("pair orbit", cap) past ``cap`` elements.
+    """
+    elements, index = [start], {start: 0}
+    rows: list = [[] for _ in maps]
+    lo = 0
+    while lo < len(elements):
+        frontier = elements[lo:]
+        lo = len(elements)
+        for f, row in zip(maps, rows):
+            for z in map(f, frontier):
+                i = index.get(z)
+                if i is None:
+                    i = index[z] = len(elements)
+                    elements.append(z)
+                    if len(elements) > cap:
+                        raise CapacityExceeded("pair orbit", cap)
+                row.append(i)
+    return elements, index, rows
+
+
 def it_orbit(G: Group, pair: tuple, cap: int = 10**6) -> frozenset:
     """Orbit of the pair under inner automorphisms and the six
     transformations.
@@ -91,35 +115,81 @@ def it_orbit(G: Group, pair: tuple, cap: int = 10**6) -> frozenset:
     The six transformations are words in a and c, so they commute with
     conjugation: sigma_i(g Q g^-1) = g sigma_i(Q) g^-1.  They also
     compose to one another up to an inner automorphism.  So the orbit is
-    {sigma_i(Q) : Q in Inn P, i = 0..5}: one walk over the inner orbit
-    of P, which emits the six images of each member Q = (x, y), with
-    u = (yx)^-1 and w = (xy)^-1: (x, y), (u, x), (y, u), (y, x),
-    (w, y), (x, w), as in ``apply_sigma``.  Conjugation commutes with
-    both words too, so u and w are carried along the walk and conjugated
-    only when a member is new.
+    {sigma_i(Q) : Q in Inn P, i = 0..5}, the six images of each member
+    Q = (x, y) of the inner orbit of P, with u = (yx)^-1 and
+    w = (xy)^-1: (x, y), (u, x), (y, u), (y, x), (w, y), (x, w), as in
+    ``apply_sigma``.  The last two may be replaced by (u, y) and (x, u),
+    which are sigma_4(y Q y^-1) and sigma_5(x^-1 Q x): the orbit is the
+    set of ordered pairs of two of x, y, u over the inner orbit.
 
-    The inner orbit lies in the orbit, and the set of images is checked
-    against ``cap`` each time it grows, so CapacityExceeded("pair orbit",
-    cap) is raised exactly when the orbit has more than ``cap`` pairs.
+    The walk conjugates no pair.  The conjugacy class of each of x, y
+    and u of P is indexed once (``_class_table``): every class element
+    is conjugated once per generator, and a start already in a finished
+    table reuses it.  The walk then runs on id triples (x, y, u), where
+    a neighbour is three row reads and ``seen`` holds ints, and the id
+    columns are decoded into the orbit at the end.
+
+    CapacityExceeded("pair orbit", cap) is raised exactly when the orbit
+    has more than ``cap`` pairs, by three checks, each sound:
+    - a class table grows past ``cap``: x -> g x g^-1 maps the inner
+      orbit onto the class of x, and the inner orbit lies in the orbit;
+    - d times the members walked exceeds ``cap``, for d the number of
+      distinct (class, class) pairs among the six images of P: images
+      in different class pairs lie in different inner orbits, each as
+      large as the inner orbit of P, so the orbit has at least d of them;
+    - the orbit itself has more than ``cap`` pairs.
+    The first two stop before the orbit is built.  x and y are checked
+    to be elements of G (MalformedElementError otherwise).
     """
-    # Inline, not orbit(): (x, y, u, w) points through orbit() made the
-    # S_7 orbit of 30,240 pairs 35 -> 43 ms.
-    maps = [G.conjugation(g) for g in G.generators]
     x, y = pair
-    seen = {pair}
-    queue = deque([(x, y, G.inv(G.mul(y, x)), G.inv(G.mul(x, y)))])
-    out: set = set()
-    while queue:
-        x, y, u, w = queue.popleft()
-        out.update(((x, y), (u, x), (y, u), (y, x), (w, y), (x, w)))
-        if len(out) > cap:
+    G.check_element(x)
+    G.check_element(y)
+    maps = [G.conjugation(g) for g in G.generators]
+    tables: list = []
+    ids = []
+    for z in (x, y, G.inv(G.mul(y, x))):
+        for t, (_, index, _) in enumerate(tables):
+            i = index.get(z)
+            if i is not None:
+                break
+        else:
+            t, i = len(tables), 0
+            tables.append(_class_table(z, maps, cap))
+        ids.append((t, i))
+    (tx, ix), (ty, iy), (tu, iu) = ids
+    d = len({(tx, ty), (tu, tx), (ty, tu), (ty, tx), (tu, ty), (tx, tu)})
+    limit = cap // d  # d * members > cap iff members > limit
+
+    # The walk: column X holds the x id of each member, Y its y id and U
+    # its u id; seen holds x id * |class of y| + y id.
+    (ex, _, rx), (ey, _, ry), (eu, _, ru) = tables[tx], tables[ty], tables[tu]
+    steps = list(zip(rx, ry, ru))
+    width = len(ey)
+    X, Y, U = [ix], [iy], [iu]
+    seen = {ix * width + iy}
+    j = 0
+    while j < len(X):
+        if len(X) > limit:
             raise CapacityExceeded("pair orbit", cap)
-        for f in maps:
-            q = (f(x), f(y))
-            if q not in seen:
-                seen.add(q)
-                queue.append((*q, f(u), f(w)))
-    return frozenset(out)
+        a, b, c = X[j], Y[j], U[j]
+        j += 1
+        for sx, sy, su in steps:
+            p, q = sx[a], sy[b]
+            key = p * width + q
+            if key not in seen:
+                seen.add(key)
+                X.append(p)
+                Y.append(q)
+                U.append(su[c])
+
+    xs = list(map(ex.__getitem__, X))
+    ys = list(map(ey.__getitem__, Y))
+    us = list(map(eu.__getitem__, U))
+    out = frozenset(chain(zip(xs, ys), zip(us, xs), zip(ys, us),
+                          zip(ys, xs), zip(us, ys), zip(xs, us)))
+    if len(out) > cap:
+        raise CapacityExceeded("pair orbit", cap)
+    return out
 
 
 # -- case patterns ---------------------------------------------------------

@@ -24,8 +24,9 @@ against the plain builds they replaced, and the structure stream on lazy
 buckets against the stream fed the eager ones and against the stream
 that checked a bucket's pairs again for every outer pair.  Pair orbits and
 keyed structure orbits are checked against breadth-first searches that
-apply every generator of the equivalence group at every point, and the
-swap route of the unmixed reality verdict against key-orbit membership.
+apply every generator of the equivalence group at every point, the
+class-table walk of the pair orbit against the element walk it replaced
+at the caps where each of its checks fires, and the swap route of the unmixed reality verdict against key-orbit membership.
 The case labels of SL(2,13) are checked against a sweep over GL(2,13).
 The case tables are checked against the builds they replaced: the SL/PSL
 solver that solved the outer label a second time on outer-map images,
@@ -49,6 +50,7 @@ each witness checked against ``sigma_naive``.
 
 import math
 import random
+import tracemalloc
 from collections import Counter, deque
 from functools import cache, lru_cache, partial
 from itertools import islice, zip_longest
@@ -2133,6 +2135,121 @@ def test_it_orbit_caps_against_brute_force(desc):
             with pytest.raises(CapacityExceeded) as exc:
                 it_orbit(G, pair, cap=cap)
             assert (exc.value.what, exc.value.cap) == ("pair orbit", cap)
+
+
+# The pair orbit indexes the conjugacy class of each of x, y, u and w once
+# and walks the inner orbit on ids.  Copied here is the walk it replaced,
+# which conjugated every member and emitted its six images.  The two must
+# give equal orbits and raise at the same caps: the orbit, the inner
+# orbit and the largest class, each as a cap and one less, a sixth of
+# the orbit, 1 and 0.
+
+
+def _six_image_orbit(G, pair, cap=10**6):
+    maps = [G.conjugation(g) for g in G.generators]
+    x, y = pair
+    seen = {pair}
+    queue = deque([(x, y, G.inv(G.mul(y, x)), G.inv(G.mul(x, y)))])
+    out: set = set()
+    while queue:
+        x, y, u, w = queue.popleft()
+        out.update(((x, y), (u, x), (y, u), (y, x), (w, y), (x, w)))
+        if len(out) > cap:
+            raise CapacityExceeded("pair orbit", cap)
+        for f in maps:
+            q = (f(x), f(y))
+            if q not in seen:
+                seen.add(q)
+                queue.append((*q, f(u), f(w)))
+    return frozenset(out)
+
+
+def _orbit_or_cap(walk, G, pair, cap):
+    try:
+        return walk(G, pair, cap)
+    except CapacityExceeded as exc:
+        return (exc.what, exc.cap)
+
+
+def _check_table_walk(G, pair, class_size):
+    want = _six_image_orbit(G, pair)
+    maps = [G.conjugation(g) for g in G.generators]
+    inner = orbit([pair], lambda q: [(f(q[0]), f(q[1])) for f in maps], 10**6, "inner orbit")
+    x, y = pair
+    largest = max(class_size(z) for z in (x, y, G.inv(G.mul(y, x)), G.inv(G.mul(x, y))))
+    n = len(want)
+    for cap in (n, n - 1, len(inner), len(inner) - 1, n // 6, largest, largest - 1, 1, 0):
+        got = _orbit_or_cap(it_orbit, G, pair, cap)
+        assert got == _orbit_or_cap(_six_image_orbit, G, pair, cap), (pair, cap)
+        assert got == (want if cap >= n else ("pair orbit", cap)), (pair, cap)
+    return n // len(inner)
+
+
+def _class_sizes(G):
+    return cache(lambda z: len(conjugacy_class(G, z)))
+
+
+@pytest.mark.parametrize("desc", ["sym:4", "dih:8"])
+def test_it_orbit_table_walk_on_every_pair(desc):
+    G = _fleet_group(desc)
+    elements = sorted(generated_subgroup(G, G.generators), key=repr)
+    class_size = _class_sizes(G)
+    ratios = Counter(_check_table_walk(G, (x, y), class_size)
+                     for x in elements for y in elements)
+    # The orbit is k inner orbits, k = 1 for the pair (e, e): the d check
+    # meets pairs whose images share inner orbits.
+    assert set(ratios) >= {1, 3, 6}, ratios
+
+
+# Seeded pairs per group: a third with conjugate components (y = g x g^-1,
+# x or x^-1), and on each group pairs with a central component: the
+# identity, -I on SL(2,p), the central involution of dic:6.
+_TABLE_WALK_FLEET = {"sym:5": 9, "sym:6": 6, "sym:7": 3, "alt:5": 9, "alt:7": 3,
+                     "sl2:5": 9, "sl2:7": 6, "psl2:7": 6, "psl2:11": 3, "ab2:5": 9,
+                     "ab2:7": 9, "dic:6": 9, "h4:sl2:3": 3}
+
+
+@pytest.mark.parametrize("desc", sorted(_TABLE_WALK_FLEET))
+def test_it_orbit_table_walk_on_seeded_pairs(desc):
+    G = _fleet_group(desc)
+    elements = sorted(generated_subgroup(G, G.generators), key=repr)
+    rng = random.Random("table-walk:" + desc)
+    center = [z for z in elements if all(G.commutes(z, g) for g in G.generators)]
+    class_size = _class_sizes(G)
+    pairs = []
+    for k in range(_TABLE_WALK_FLEET[desc]):
+        x = rng.choice(elements)
+        if k % 3:
+            pairs.append((x, rng.choice(elements)))
+        else:
+            g = rng.choice(elements)
+            pairs.append((x, (conjugate(G, x, g), x, G.inv(x))[k // 3 % 3]))
+    for z in center:
+        x = rng.choice(elements)
+        pairs += [(z, x), (x, z)]
+    assert len(center) > (1 if desc in ("sl2:5", "sl2:7", "dic:6") else 0)
+    for pair in pairs:
+        _check_table_walk(G, pair, class_size)
+
+
+def test_it_orbit_cap_stops_before_decoding():
+    """Past a cap that the d check settles, the walk stops before any
+    orbit is built: the S_6 pair of 4320 = 6 x 720 pairs has six class
+    pairs among its images, so a cap of 4319 needs no more than 719
+    members, and its peak memory stays well below that of the orbit."""
+    S6 = SymmetricGroup(6)
+    pair = (parse_cycles("(1,6,2,3,5,4)", 6), parse_cycles("(1,5)(2,3,4)", 6))
+
+    def peak(cap):
+        tracemalloc.start()
+        try:
+            _orbit_or_cap(it_orbit, S6, pair, cap)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert len(it_orbit(S6, pair)) == 4320
+    assert 2 * peak(4319) < peak(4320)
 
 
 # The SL/PSL case solver skips a lift pair whose trace triple differs

@@ -10,7 +10,12 @@ from beauville.constructions import (
     group_from_descriptor,
     parse_descriptor,
 )
-from beauville.core import CapacityExceeded, PreconditionError, generated_subgroup
+from beauville.core import (
+    CapacityExceeded,
+    MalformedElementError,
+    PreconditionError,
+    generated_subgroup,
+)
 from beauville.gallery import (
     alt_pair_2_3_84,
     alt_pair_skew,
@@ -119,6 +124,20 @@ def test_it_orbit_cap():
         with pytest.raises(CapacityExceeded) as exc:
             orbit_of(size - 1)
         assert (exc.value.what, exc.value.cap) == (label, size - 1)
+
+
+@pytest.mark.parametrize("G,pair", [
+    (SymmetricGroup(5), ((1, 0, 2, 3, 4), (0, 0, 1, 2, 3))),  # not a permutation
+    (SymmetricGroup(5), ((1, 0, 2, 3), (0, 1, 2, 3))),  # wrong degree
+    (SymmetricGroup(5), ((0, 1, 2, 3), (1, 0, 2, 3, 4))),  # wrong degree, first
+    (Abelian2(5), ((7, 0), (0, 1))),  # coordinate out of range
+    (Abelian2(5), ((1, 0), (0, 1, 2))),  # wrong length
+])
+def test_it_orbit_rejects_non_elements(G, pair):
+    with pytest.raises(MalformedElementError):
+        it_orbit(G, pair)
+    with pytest.raises(MalformedElementError):
+        it_orbit(G, pair, cap=0)
 
 
 def test_case_targets_match_sigma_algebra():
