@@ -108,46 +108,64 @@ def _class_table(start, maps: list, cap: int) -> tuple:
     return elements, index, rows
 
 
+# The six images of a pair Q = (x, y) as (first, second) columns of
+# (x, y, u), u = (yx)^-1; see ``it_orbit``.
+_IMAGES = ((0, 1), (2, 0), (1, 2), (1, 0), (2, 1), (0, 2))
+
+
 def it_orbit(G: Group, pair: tuple, cap: int = 10**6) -> frozenset:
     """Orbit of the pair under inner automorphisms and the six
     transformations.
 
     The six transformations are words in a and c, so they commute with
-    conjugation: sigma_i(g Q g^-1) = g sigma_i(Q) g^-1.  They also
-    compose to one another up to an inner automorphism.  So the orbit is
-    {sigma_i(Q) : Q in Inn P, i = 0..5}, the six images of each member
-    Q = (x, y) of the inner orbit of P, with u = (yx)^-1 and
+    conjugation: sigma_i(g Q g^-1) = g sigma_i(Q) g^-1.  Up to inner
+    automorphisms they form a copy of S_3: sigma_1 has order 3, sigma_3
+    order 2, and sigma_3 sigma_1 sigma_3 = sigma_2, sigma_3 sigma_1 =
+    sigma_5, sigma_1 sigma_3 = sigma_4.  So the
+    orbit is {sigma_i(Q) : Q in Inn P, i = 0..5}, the six images of each
+    member Q = (x, y) of the inner orbit of P, with u = (yx)^-1 and
     w = (xy)^-1: (x, y), (u, x), (y, u), (y, x), (w, y), (x, w), as in
     ``apply_sigma``.  The last two may be replaced by (u, y) and (x, u),
     which are sigma_4(y Q y^-1) and sigma_5(x^-1 Q x): the orbit is the
-    set of ordered pairs of two of x, y, u over the inner orbit.
+    set of ordered pairs of two of x, y, u over the inner orbit.  It is
+    k inner orbits, for k = 6 / s and s the number of the six images of
+    P that lie in the inner orbit of P (orbit and stabilizer in S_3).
 
     The walk conjugates no pair.  The conjugacy class of each of x, y
     and u of P is indexed once (``_class_table``): every class element
     is conjugated once per generator, and a start already in a finished
     table reuses it.  The walk then runs on id triples (x, y, u), where
     a neighbour is three row reads and ``seen`` holds ints, and the id
-    columns are decoded into the orbit at the end.
+    columns are decoded into the orbit at the end.  A central pair,
+    fixed by every generator's conjugation, is its own inner orbit: its
+    six images are the orbit, and no table is built.
 
     CapacityExceeded("pair orbit", cap) is raised exactly when the orbit
-    has more than ``cap`` pairs, by three checks, each sound:
+    has more than ``cap`` pairs, by three checks, each before the orbit
+    is built:
     - a class table grows past ``cap``: x -> g x g^-1 maps the inner
       orbit onto the class of x, and the inner orbit lies in the orbit;
     - d times the members walked exceeds ``cap``, for d the number of
       distinct (class, class) pairs among the six images of P: images
-      in different class pairs lie in different inner orbits, each as
-      large as the inner orbit of P, so the orbit has at least d of them;
-    - the orbit itself has more than ``cap`` pairs.
-    The first two stop before the orbit is built.  x and y are checked
-    to be elements of G (MalformedElementError otherwise).
+      in different class pairs lie in different inner orbits, so k >= d;
+    - once the inner orbit is walked, k times its size exceeds ``cap``.
+    x and y are checked to be elements of G (MalformedElementError
+    otherwise).
     """
     x, y = pair
     G.check_element(x)
     G.check_element(y)
     maps = [G.conjugation(g) for g in G.generators]
+    u = G.inv(G.mul(y, x))
+    if all(f(x) == x and f(y) == y for f in maps):
+        # A central pair is its own inner orbit: no tables.
+        out = frozenset(((x, y), (u, x), (y, u), (y, x), (u, y), (x, u)))
+        if len(out) > cap:
+            raise CapacityExceeded("pair orbit", cap)
+        return out
     tables: list = []
     ids = []
-    for z in (x, y, G.inv(G.mul(y, x))):
+    for z in (x, y, u):
         for t, (_, index, _) in enumerate(tables):
             i = index.get(z)
             if i is not None:
@@ -157,7 +175,7 @@ def it_orbit(G: Group, pair: tuple, cap: int = 10**6) -> frozenset:
             tables.append(_class_table(z, maps, cap))
         ids.append((t, i))
     (tx, ix), (ty, iy), (tu, iu) = ids
-    d = len({(tx, ty), (tu, tx), (ty, tu), (ty, tx), (tu, ty), (tx, tu)})
+    d = len({(ids[s][0], ids[t][0]) for s, t in _IMAGES})
     limit = cap // d  # d * members > cap iff members > limit
 
     # The walk: column X holds the x id of each member, Y its y id and U
@@ -182,14 +200,13 @@ def it_orbit(G: Group, pair: tuple, cap: int = 10**6) -> frozenset:
                 Y.append(q)
                 U.append(su[c])
 
-    xs = list(map(ex.__getitem__, X))
-    ys = list(map(ey.__getitem__, Y))
-    us = list(map(eu.__getitem__, U))
-    out = frozenset(chain(zip(xs, ys), zip(us, xs), zip(ys, us),
-                          zip(ys, xs), zip(us, ys), zip(xs, us)))
-    if len(out) > cap:
+    fixed = sum(ids[s][0] == tx and ids[t][0] == ty and ids[s][1] * width + ids[t][1] in seen
+                for s, t in _IMAGES)
+    if 6 // fixed * len(X) > cap:
         raise CapacityExceeded("pair orbit", cap)
-    return out
+    cols = (list(map(ex.__getitem__, X)), list(map(ey.__getitem__, Y)),
+            list(map(eu.__getitem__, U)))
+    return frozenset(chain.from_iterable(zip(cols[s], cols[t]) for s, t in _IMAGES))
 
 
 # -- case patterns ---------------------------------------------------------

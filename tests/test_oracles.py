@@ -2137,8 +2137,8 @@ def test_it_orbit_caps_against_brute_force(desc):
             assert (exc.value.what, exc.value.cap) == ("pair orbit", cap)
 
 
-# The pair orbit indexes the conjugacy class of each of x, y, u and w once
-# and walks the inner orbit on ids.  Copied here is the walk it replaced,
+# The pair orbit indexes the conjugacy class of each of x, y and
+# u = (yx)^-1 once and walks the inner orbit on ids.  Copied here is the walk it replaced,
 # which conjugated every member and emitted its six images.  The two must
 # give equal orbits and raise at the same caps: the orbit, the inner
 # orbit and the largest class, each as a cap and one less, a sixth of
@@ -2232,24 +2232,43 @@ def test_it_orbit_table_walk_on_seeded_pairs(desc):
         _check_table_walk(G, pair, class_size)
 
 
-def test_it_orbit_cap_stops_before_decoding():
-    """Past a cap that the d check settles, the walk stops before any
-    orbit is built: the S_6 pair of 4320 = 6 x 720 pairs has six class
-    pairs among its images, so a cap of 4319 needs no more than 719
-    members, and its peak memory stays well below that of the orbit."""
-    S6 = SymmetricGroup(6)
-    pair = (parse_cycles("(1,6,2,3,5,4)", 6), parse_cycles("(1,5)(2,3,4)", 6))
+def _peak_memory(G, pair, cap):
+    tracemalloc.start()
+    try:
+        _orbit_or_cap(it_orbit, G, pair, cap)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def peak(cap):
-        tracemalloc.start()
-        try:
-            _orbit_or_cap(it_orbit, S6, pair, cap)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    assert len(it_orbit(S6, pair)) == 4320
-    assert 2 * peak(4319) < peak(4320)
+@pytest.mark.parametrize("cycles, n, size", [
+    (("(1,6,2,3,5,4)", "(1,5)(2,3,4)"), 6, 4320),
+    (("(1,2,3,4,5,6,7)", "(1,2,7,5,3,6,4)"), 7, 30240),
+], ids=["sym:6", "sym:7"])
+def test_it_orbit_cap_stops_before_decoding(cycles, n, size):
+    """Past a cap under the orbit, the walk stops before any orbit is
+    built, and its peak memory stays well below that of the orbit.  Both
+    pairs have orbits of six inner orbits.  The S_6 pair has six class
+    pairs among its images, so the d check stops it within 719 members;
+    the three components of the S_7 pair are 7-cycles, one class pair,
+    so it walks its 5040 members and the size check stops it."""
+    G = SymmetricGroup(n)
+    pair = tuple(parse_cycles(c, n) for c in cycles)
+    assert len(it_orbit(G, pair)) == size
+    assert _orbit_or_cap(it_orbit, G, pair, size - 1) == ("pair orbit", size - 1)
+    assert 2 * _peak_memory(G, pair, size - 1) < _peak_memory(G, pair, size)
+
+
+def test_it_orbit_d_check_stops_the_walk():
+    """The d check stops the walk after cap / d members.  The S_8 pair
+    of 3-cycles has a double transposition as (yx)^-1, three class pairs
+    among its images, and an orbit of three inner orbits of 1680.  At a
+    cap of 1680 the walk stops within 561 members; at 5039 it walks all
+    1680 before the size check stops it."""
+    S8 = SymmetricGroup(8)
+    pair = (parse_cycles("(1,2,3)", 8), parse_cycles("(2,3,4)", 8))
+    assert len(it_orbit(S8, pair)) == 5040
+    assert 2 * _peak_memory(S8, pair, 1680) < _peak_memory(S8, pair, 5039)
 
 
 # The SL/PSL case solver skips a lift pair whose trace triple differs
