@@ -121,11 +121,10 @@ def it_orbit(G: Group, pair: tuple, cap: int = 10**6) -> frozenset:
     conjugation: sigma_i(g Q g^-1) = g sigma_i(Q) g^-1.  Up to inner
     automorphisms they form a copy of S_3: sigma_1 has order 3, sigma_3
     order 2, and sigma_3 sigma_1 sigma_3 = sigma_2, sigma_3 sigma_1 =
-    sigma_5, sigma_1 sigma_3 = sigma_4.  So the
-    orbit is {sigma_i(Q) : Q in Inn P, i = 0..5}, the six images of each
-    member Q = (x, y) of the inner orbit of P, with u = (yx)^-1 and
-    w = (xy)^-1: (x, y), (u, x), (y, u), (y, x), (w, y), (x, w), as in
-    ``apply_sigma``.  The last two may be replaced by (u, y) and (x, u),
+    sigma_5, sigma_1 sigma_3 = sigma_4.  So the orbit is {sigma_i(Q) :
+    Q in Inn P, i = 0..5}, the six images of each member Q = (x, y) of
+    the inner orbit of P, with u = (yx)^-1 and w = (xy)^-1: (x, y),
+    (u, x), (y, u), (y, x), (w, y), (x, w), as in ``apply_sigma``.  The last two may be replaced by (u, y) and (x, u),
     which are sigma_4(y Q y^-1) and sigma_5(x^-1 Q x): the orbit is the
     set of ordered pairs of two of x, y, u over the inner orbit.  It is
     k inner orbits, for k = 6 / s and s the number of the six images of
@@ -200,6 +199,7 @@ def it_orbit(G: Group, pair: tuple, cap: int = 10**6) -> frozenset:
                 Y.append(q)
                 U.append(su[c])
 
+    # s of the docstring: the images of P that lie in its inner orbit.
     fixed = sum(ids[s][0] == tx and ids[t][0] == ty and ids[s][1] * width + ids[t][1] in seen
                 for s, t in _IMAGES)
     if 6 // fixed * len(X) > cap:
